@@ -206,10 +206,8 @@ def headline(sf_dir: str, num_cpus: int, n_docs: int | None = None) -> dict:
     from tesseract_wasm_ray.pipelines.queries import corpus_for
 
     paths = corpus_for(sf_dir, n_docs=n_docs)  # cached; built before timing
-    # CPU budget: OCR actors (1 cpu each) are a LONG-LIVED reservation;
-    # the feeding map tasks need free CPUs or the pipeline deadlocks.
-    # The default bucket join is task-based (no aggregator actors), so
-    # only >=2 CPUs of slack are reserved.
+    # CPU budget: the OCR pool is a LONG-LIVED reservation, sized by
+    # extract.ocr_pool so the feeding map tasks keep a whole CPU.
     # OCR batch size scales with corpus size: per-task driver scheduling
     # is a SERIAL cost (measured as the F in F + C/n across CPU levels —
     # it grew 8.5s -> 17s when the corpus went 80k -> 240k docs at fixed
@@ -218,10 +216,6 @@ def headline(sf_dir: str, num_cpus: int, n_docs: int | None = None) -> dict:
     # batches at the scaling corpus sizes.
     batch = 256 if (n_docs or 5000) < 100_000 else 1024
     cfg = ExtractConfig(
-        # 0.5-cpu actors (half the logical budget); capped at 24 — this
-        # host has 16 physical cores and >24 concurrent OCR processes
-        # oversubscribe them (throughput regresses past the SMT wall).
-        ocr_concurrency=max(2, min(num_cpus, 24)),
         ocr_batch_size=batch,
         num_buckets=max(32, num_cpus * 2),
         join_partitions=max(8, num_cpus // 2),
@@ -886,7 +880,6 @@ def run_soak(num_cpus: int, n_docs: int | None = None) -> dict:
 
     paths = corpus_for("/root/testdata/sf0.1", n_docs=n_docs)
     cfg = ExtractConfig(
-        ocr_concurrency=max(2, min(num_cpus, 24)),
         ocr_batch_size=1024,
         num_buckets=max(32, num_cpus * 2),
         join_partitions=max(8, num_cpus // 2),

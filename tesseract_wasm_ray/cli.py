@@ -27,7 +27,6 @@ def main(argv: list[str] | None = None) -> int:
     ex.add_argument("--out", required=True, help="output directory (parquet + manifest)")
     ex.add_argument("--golden", help="optional golden spans table: validate equality")
     ex.add_argument("--no-resume", action="store_true")
-    ex.add_argument("--ocr-concurrency", type=int, default=8)
     ex.add_argument("--num-buckets", type=int, default=64)
     ex.add_argument(
         "--on-error",
@@ -162,11 +161,7 @@ def main(argv: list[str] | None = None) -> int:
 
     from .pipelines.extract import ExtractConfig, run_extract, validate_against_golden
 
-    cfg = ExtractConfig(
-        ocr_concurrency=args.ocr_concurrency,
-        num_buckets=args.num_buckets,
-        on_error=args.on_error,
-    )
+    cfg = ExtractConfig(num_buckets=args.num_buckets, on_error=args.on_error)
     manifest_rows = run_extract(
         args.docs, args.media, cfg, out_dir=args.out, resume=not args.no_resume
     )

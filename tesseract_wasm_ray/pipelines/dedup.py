@@ -1006,7 +1006,6 @@ def minhash_lsh_dedup(
     bands: int = 16,
     shingle_n: int = 3,
     num_buckets: int = 64,
-    join_partitions: int = 16,  # kept for API compat; no longer used
     anti_strategy: str = "auto",
     cluster: str = "bucket",  # "bucket" | "components"
 ) -> rd.Dataset:
@@ -1043,7 +1042,6 @@ def simhash_dedup(
     id_col: str = "doc_id",
     max_hamming: int = 3,
     num_buckets: int = 64,
-    join_partitions: int = 16,  # kept for API compat; no longer used
     anti_strategy: str = "auto",
 ) -> rd.Dataset:
     """SimHash near-dup removal: 4-block pigeonhole candidates (complete
@@ -1314,7 +1312,6 @@ def embedding_neardup(
     n_tables: int = 8,
     seed: int = 11,
     num_buckets: int = 64,
-    join_partitions: int = 16,  # kept for API compat; no longer used
     anti_strategy: str = "auto",
 ) -> rd.Dataset:
     """Embedding-cosine near-dup removal: BANDED random-hyperplane

@@ -1,20 +1,21 @@
 """The flagship extraction pipeline (SURVEY.md §3.5).
 
-``config -> read documents -> explode spans -> [text branch: boilerplate
-strip] ⊕ [media branch: OCR actor pool over the media table -> hash join
-on media_ref] -> reassemble per doc_id -> validate / write + manifest``
+``config -> read documents -> explode spans -> strip text spans ⊕ OCR
+actor pool over the media table -> bucket join on media_ref ->
+reassemble per doc_id -> validate / write + manifest``
 
 Ray-Data-first shape:
 
 - every stage is a ``map_batches`` over Arrow batches (zero-copy);
 - the OCR stage is a fixed actor pool holding the warm glyph model
-  (the reference's worker-per-engine model, SURVEY.md §2.3);
+  (the reference's worker-per-engine model, SURVEY.md §2.3), sized to
+  the session by ``ocr_pool``;
 - recognition runs over the *media table* before any join, so pixel
   payloads never enter a shuffle — only (media_ref, text) pairs do;
-- the media_ref join defaults to a bucketed task-shuffle join
-  (see _join_media_text) — scale-correct for 10^12-row corpora and
-  robust on any CPU budget; Dataset.join and broadcast remain
-  selectable;
+- the docs are read and exploded once; the media_ref join is a bucketed
+  task-shuffle groupby over the union of span rows and OCR rows
+  (``_span_rows``) — scale-correct for 10^12-row corpora and robust on
+  any CPU budget;
 - reassembly is the single wide shuffle, on a crc32 doc_id bucket key
   (stages/reassemble.py), which doubles as the resume partition
   (stages/manifest.py).
@@ -22,17 +23,24 @@ Ray-Data-first shape:
 
 from __future__ import annotations
 
+import hashlib
+import math
+import os
 import time
+import zlib
 from dataclasses import dataclass, field
 
+import numpy as np
 import pyarrow as pa
+import pyarrow.compute as pc
 import ray
 import ray.data as rd
 
 from .. import MODEL_VERSION
+from ..functions.arrow_util import single_chunk
 from ..schema import DOCUMENTS_SCHEMA
 from ..sources import read_documents, read_media
-from ..stages.explode import explode_spans, only_kind
+from ..stages.explode import explode_spans
 from ..stages.manifest import (
     append_manifest,
     completed_buckets,
@@ -42,22 +50,15 @@ from ..stages.manifest import (
 )
 from ..stages.ocr_actor import OcrActor
 from ..stages.reassemble import add_bucket_column, stitch_bucket
-from ..stages.strip import strip_text_spans
 from ..state.glyph_model import GlyphModel
 
 
 @dataclass
 class ExtractConfig:
-    ocr_concurrency: int = 8
-    # Fractional reservation: the pool's logical claim is concurrency *
-    # ocr_num_cpus, leaving scheduler headroom for the feeding read /
-    # explode / strip tasks — a full-CPU pool starves its own input
-    # (measured: actors idle 80% while upstream crawls on the leftover
-    # cores).  The OS timeshares the real cores.
-    ocr_num_cpus: float = 0.5
+    # None: derived from the session by ocr_pool
+    ocr_concurrency: int | None = None
     ocr_batch_size: int = 256
     num_buckets: int = 64
-    join_strategy: str = "bucket"  # "bucket" | "hash" | "broadcast"
     join_partitions: int = 32
     # Blocks entering a sort shuffle are coalesced to this many first:
     # hundreds of tiny blocks cost ~10ms of scheduling each in the sort
@@ -88,6 +89,24 @@ class ExtractConfig:
         }
 
 
+def ocr_pool(concurrency: int | None = None, cpus: float | None = None) -> tuple[int, float]:
+    """The one sizing rule for every OCR-family actor pool ->
+    ``(concurrency, num_cpus per actor)``.
+
+    ``cpus`` defaults to the session's logical CPU total.  The pool
+    claims at most ``cpus - 1``, so the read / explode tasks that feed
+    it always keep one whole CPU: a pool that claims every CPU starves
+    its own input and the pipeline hangs.  Actors are fractional (at
+    most 0.5, and 0 in a 1-CPU session) and the OS timeshares the real
+    cores."""
+    if cpus is None:
+        cpus = ray.cluster_resources().get("CPU", 1) if ray.is_initialized() else os.cpu_count()
+    cpus = max(1, int(cpus or 1))
+    conc = concurrency or max(1, min(24, cpus * 3 // 4))
+    # Ray meters fractional CPUs in 1e-4 units: round down, never up
+    return conc, min(0.5, math.floor((cpus - 1) * 10_000 / conc) / 10_000)
+
+
 def ocr_media(
     media_path: str,
     cfg: ExtractConfig,
@@ -105,11 +124,9 @@ def ocr_media(
     too large to broadcast."""
     media = read_media(media_path)
     if ref_filter is not None:
-        import pyarrow.compute as _pc
-
         def keep_needed(b: pa.Table) -> pa.Table:
             return b.filter(
-                _pc.is_in(b.column("media_ref"), value_set=ray.get(ref_filter))
+                pc.is_in(b.column("media_ref"), value_set=ray.get(ref_filter))
             )
 
         media = media.map_batches(keep_needed, batch_format="pyarrow")
@@ -121,6 +138,7 @@ def ocr_media(
             num_buckets=cfg.join_partitions * 4,
             num_partitions=cfg.join_partitions,
         )
+    concurrency, num_cpus = ocr_pool(cfg.ocr_concurrency)
     return media.map_batches(
         OcrActor,
         fn_constructor_kwargs={
@@ -131,77 +149,9 @@ def ocr_media(
         batch_format="pyarrow",
         zero_copy_batch=True,
         batch_size=cfg.ocr_batch_size,
-        concurrency=cfg.ocr_concurrency,
-        num_cpus=cfg.ocr_num_cpus,
+        concurrency=concurrency,
+        num_cpus=num_cpus,
     )
-
-
-def _join_media_text(media_rows: rd.Dataset, ocr_text: rd.Dataset, cfg: ExtractConfig) -> rd.Dataset:
-    """(doc_id, offset, kind, media_ref) ⋈ (media_ref, rec_text) -> span rows
-    with recognized text.  Only the legacy two-branch strategies live
-    here — the default "bucket" strategy is the single-pass union join
-    inside ``_span_rows`` (this function is only reached for
-    ``join_strategy in {"hash", "broadcast"}``).
-
-    - ``hash``: Ray ``Dataset.join`` (kept for comparison/benchmarks).
-    - ``broadcast``: ship the (ref, text) columns via ``ray.put`` — no
-      shuffle; right only when the media side fits the object store.
-    """
-    if cfg.join_strategy == "broadcast":
-        # Small media side: ship the ref/text COLUMNS through the object
-        # store once (ray.put), resolve per batch with a vectorized
-        # index_in + take (no Python dict or per-row loop).
-        import pyarrow.compute as pc
-
-        chunks = [
-            b.select(["media_ref", "rec_text"])
-            for b in ocr_text.iter_batches(batch_format="pyarrow", batch_size=65536)
-            if b.num_rows
-        ]
-        lut = (
-            pa.concat_tables(chunks)
-            if chunks
-            else pa.table({"media_ref": pa.array([], pa.string()),
-                           "rec_text": pa.array([], pa.string())})
-        )
-        lookup_ref = ray.put(
-            (lut.column("media_ref").combine_chunks(), lut.column("rec_text").combine_chunks())
-        )
-
-        def lookup(batch: pa.Table) -> pa.Table:
-            keys, vals = ray.get(lookup_ref)
-            pos = pc.index_in(batch.column("media_ref"), value_set=keys)
-            found = pc.fill_null(pc.cast(pos, pa.int64()), -1).to_numpy(zero_copy_only=False)
-            import numpy as np
-
-            taken = vals.take(pa.array(np.maximum(found, 0), pa.int64())) if len(vals) else None
-            texts = (
-                pc.if_else(pa.array(found >= 0), taken, pa.scalar("", pa.string()))
-                if taken is not None
-                else pa.array([""] * batch.num_rows, pa.string())
-            )
-            i = batch.schema.get_field_index("text")
-            return batch.set_column(i, "text", texts)
-
-        return media_rows.map_batches(lookup, batch_format="pyarrow")
-
-    # Aggregator actors default to 1 whole CPU each; fractional
-    # reservations keep a small-CPU session (tests, laptops) from
-    # starving the map stages while still scaling out on big nodes.
-    joined = media_rows.join(
-        ocr_text,
-        join_type="inner",
-        num_partitions=cfg.join_partitions,
-        on=("media_ref",),
-        aggregator_ray_remote_args={"num_cpus": 0.25},
-    )
-
-    def finish(batch: pa.Table) -> pa.Table:
-        i = batch.schema.get_field_index("text")
-        batch = batch.set_column(i, "text", batch.column("rec_text"))
-        return batch.drop_columns(["rec_text"])
-
-    return joined.map_batches(finish, batch_format="pyarrow")
 
 
 def _span_rows(
@@ -220,11 +170,6 @@ def _span_rows(
     the explode into two consumers would duplicate the whole
     read+explode subplan in Ray's plan (measured: 2x the docs scan).
     """
-    import zlib
-
-    import numpy as np
-    import pyarrow.compute as pc
-
     num_buckets = cfg.join_partitions * 4
 
     def prune_done(rows: pa.Table) -> pa.Table:
@@ -233,8 +178,6 @@ def _span_rows(
         expensive work, not just the final write)."""
         if not skip_buckets:
             return rows
-        from ..functions.arrow_util import single_chunk
-
         enc = single_chunk(pc.dictionary_encode(rows.column("doc_id").combine_chunks()))
         keep_lut = np.array(
             [
@@ -268,8 +211,6 @@ def _span_rows(
         # text rows by doc_id (even spread; they only pass through).
         # crc32 runs once per DISTINCT key (dictionary-encoded): doc_ids
         # repeat once per span, so this is ~8x fewer Python hash calls.
-        from ..functions.arrow_util import single_chunk
-
         keys = pc.if_else(
             pa.array(is_text), rows.column("doc_id"), rows.column("media_ref")
         )
@@ -340,9 +281,6 @@ def _span_rows(
         ie = out.schema.get_field_index("error")
         return out.set_column(ie, "error", err_filled)
 
-    if cfg.join_strategy != "bucket":
-        return _span_rows_two_branch(docs_path, media_path, cfg)
-
     docs = read_documents(docs_path)
     span_stream = docs.map_batches(
         explode_and_strip, batch_format="pyarrow", zero_copy_batch=True
@@ -393,40 +331,16 @@ def _span_rows(
     )
 
 
-def _span_rows_two_branch(docs_path: str, media_path: str, cfg: ExtractConfig) -> rd.Dataset:
-    """Legacy two-branch shape for join_strategy in {"hash", "broadcast"}
-    (_join_media_text).  Reads + explodes the docs twice (duplicated
-    subplan) — kept for comparison benchmarks and as the broadcast path
-    when the OCR-text side is known to fit the object store."""
-    docs = read_documents(docs_path)
-    spans = docs.map_batches(explode_spans, batch_format="pyarrow", zero_copy_batch=True)
-    text_rows = spans.map_batches(only_kind("text"), batch_format="pyarrow").map_batches(
-        strip_text_spans, batch_format="pyarrow"
-    )
-    media_rows = spans.map_batches(only_kind("media_ref"), batch_format="pyarrow")
-    ocr_text = ocr_media(media_path, cfg, emit_boxes=False).map_batches(
-        lambda b: b.select(["media_ref", "text"]).rename_columns(["media_ref", "rec_text"]),
-        batch_format="pyarrow",
-    )
-    media_with_text = _join_media_text(media_rows, ocr_text, cfg)
-    return text_rows.union(media_with_text)
-
-
 def split_quarantine(t: pa.Table) -> tuple[pa.Table, pa.Table]:
     """Span rows -> (clean rows WITHOUT the error column, quarantined
     rows WITH it).  A document quarantines WHOLE when any of its spans
     errored: emitting the doc with a silently-empty media span would
     pass through looking healthy and break span-sequence equality
     downstream, which is exactly the failure mode the dead-letter path
-    exists to make loud.  Tables with no error column (legacy
-    hash/broadcast join strategies) pass through untouched."""
+    exists to make loud."""
     from ..schema import QUARANTINE_SCHEMA
 
-    import pyarrow.compute as pc
-
     empty_q = pa.Table.from_pylist([], schema=QUARANTINE_SCHEMA)
-    if "error" not in t.column_names:
-        return t, empty_q
     err = t.column("error")
     if err.null_count == len(err):
         return t.drop_columns(["error"]), empty_q
@@ -477,15 +391,11 @@ def run_extract(
             batch_format="pyarrow",
         )
 
-    import os
-
     os.makedirs(out_dir, exist_ok=True)
     fp = config_fingerprint(cfg.fingerprint_dict())
     if done:
         # Safety net on top of the upstream pruning (prune_done filters
         # at the explode; this catches any row that slipped through).
-        import pyarrow.compute as pc
-
         skip = pa.array(sorted(done), pa.int32())
         bucketed = bucketed.map_batches(
             lambda b: b.filter(pc.invert(pc.is_in(b.column("bucket"), value_set=skip))),
@@ -503,17 +413,13 @@ def run_extract(
         n_quar = 0
         if quarantined.num_rows:
             qname = write_quarantine_atomic(out_dir, bucket, quarantined)
-            import pyarrow.compute as _pc
-
-            n_quar = len(_pc.unique(quarantined.column("doc_id").combine_chunks()))
+            n_quar = len(pc.unique(quarantined.column("doc_id").combine_chunks()))
         table = stitch_bucket(clean)
         name = write_bucket_atomic(out_dir, bucket, table)
         # Manifest metrics via Arrow kernels: flatten the span structs
         # once, count non-whitespace runs per media span (identical to
         # ``len(text.split())``) — no nested Python loops on the write
         # path.
-        import pyarrow.compute as pc
-
         flat = pc.list_flatten(table.column("spans").combine_chunks())
         n_spans = len(flat)
         media_texts = pc.struct_field(flat, "text").filter(
@@ -558,13 +464,6 @@ def _span_seq_hashes(side: str):
     ``kind\\x1ftext\\x1fmedia_ref\\x1e`` via binary_join_element_wise,
     and binary_join each doc's sorted records — so Python touches one
     string per DOCUMENT (the sha1 call), not four fields per span."""
-    import hashlib
-
-    import numpy as np
-    import pyarrow.compute as pc
-
-    from ..functions.arrow_util import single_chunk
-
     def fn(batch: pa.Table) -> pa.Table:
         n = batch.num_rows
         spans = single_chunk(batch.column("spans").combine_chunks())

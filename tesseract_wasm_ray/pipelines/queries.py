@@ -47,7 +47,7 @@ from .dedup import (
     ngram_jaccard_dedup,
     simhash_dedup,
 )
-from .extract import ExtractConfig, ocr_media, run_extract, validate_against_golden
+from .extract import ExtractConfig, ocr_media, ocr_pool, run_extract, validate_against_golden
 from .similarity import ivf_topk, knn_self_join, topk_cosine
 
 FIXTURE_ROOT = os.environ.get("TWR_FIXTURE_ROOT", "/tmp/twr_fixtures")
@@ -1682,7 +1682,6 @@ def q_curate(sf_dir: str):
         _docs(sf_dir, columns=["doc_id", "text"]),
         threshold=0.8,
         num_buckets=16,
-        join_partitions=8,
     )
 
     def stage(b: pa.Table) -> pa.Table:
@@ -2268,17 +2267,7 @@ def _extract_cfg() -> ExtractConfig:
     from ..tuning import apply_data_context_tuning
 
     apply_data_context_tuning()
-    # Size the OCR pool to the session: 0.5-cpu actors, logical claim
-    # ~3/8 of the CPUs so feeding reads/explodes keep running (a
-    # saturating pool starves upstream — RAY_NOTES.md), capped at 24
-    # (past the host's 16 physical cores the SMT wall regresses
-    # throughput; measured in BASELINE.md).  At the driver's 8-cpu
-    # oracle sessions this stays at the old conc=4 shape.
-    cpus = int(ray.cluster_resources().get("CPU", 8)) if ray.is_initialized() else 8
-    conc = max(4, min(24, (cpus * 3) // 4))
-    return ExtractConfig(
-        ocr_concurrency=conc, ocr_batch_size=64, num_buckets=16, join_partitions=8
-    )
+    return ExtractConfig(ocr_batch_size=64, num_buckets=16, join_partitions=8)
 
 
 def q_extract_flagship(sf_dir: str):
@@ -2478,13 +2467,14 @@ def q_layout_boxes(sf_dir: str):
 
     paths = corpus_for(sf_dir)
     media = rd.read_parquet(paths["media"])
+    concurrency, num_cpus = ocr_pool()
     return media.map_batches(
         LayoutActor,
         batch_format="pyarrow",
         zero_copy_batch=True,
         batch_size=64,
-        concurrency=2,
-        num_cpus=1,
+        concurrency=concurrency,
+        num_cpus=num_cpus,
     )
 
 
@@ -2492,17 +2482,19 @@ def q_hocr(sf_dir: str):
     """hOCR rendering: stable digest per page document."""
     from ..functions.hocr import render_hocr  # noqa: F401  (rendered in actor)
     from ..stages.ocr_actor import HocrActor
+    from ..state.glyph_model import GlyphModel
 
     paths = corpus_for(sf_dir)
     media = rd.read_parquet(paths["media"])
+    concurrency, num_cpus = ocr_pool()
     return media.map_batches(
         HocrActor,
-        fn_constructor_kwargs={"model_blob": _extract_cfg().model_blob},
+        fn_constructor_kwargs={"model_blob": GlyphModel.build().to_bytes()},
         batch_format="pyarrow",
         zero_copy_batch=True,
         batch_size=64,
-        concurrency=2,
-        num_cpus=1,
+        concurrency=concurrency,
+        num_cpus=num_cpus,
     )
 
 
@@ -2975,7 +2967,7 @@ def q_image_knn(
 
 def q_minhash_dedup(sf_dir: str):
     return minhash_lsh_dedup(
-        _docs(sf_dir, columns=["doc_id", "text"]), threshold=0.8, num_buckets=16, join_partitions=8
+        _docs(sf_dir, columns=["doc_id", "text"]), threshold=0.8, num_buckets=16
     ).map_batches(lambda b: b.select(["doc_id"]), batch_format="pyarrow")
 
 
@@ -2989,7 +2981,7 @@ def q_minhash_components_dedup(sf_dir: str):
 
 def q_simhash_dedup(sf_dir: str):
     return simhash_dedup(
-        _docs(sf_dir, columns=["doc_id", "text"]), max_hamming=3, num_buckets=16, join_partitions=8
+        _docs(sf_dir, columns=["doc_id", "text"]), max_hamming=3, num_buckets=16
     ).map_batches(lambda b: b.select(["doc_id"]), batch_format="pyarrow")
 
 
@@ -3033,7 +3025,7 @@ def q_embedding_neardup(sf_dir: str):
         os.path.join(sf_dir, "embeddings.parquet"), columns=["vec_id", "embedding"]
     ).map_batches(_plant_embedding_copies, batch_format="pyarrow")
     return embedding_neardup(
-        ds, threshold=0.98, num_buckets=16, join_partitions=8
+        ds, threshold=0.98, num_buckets=16
     ).map_batches(lambda b: b.select(["vec_id"]), batch_format="pyarrow")
 
 

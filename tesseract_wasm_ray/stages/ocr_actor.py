@@ -11,12 +11,13 @@ Per row: decode raw pixels -> binarize -> detect orientation ->
 derotate -> layout + recognition (all vectorized numpy inside the
 kernel) -> text / word boxes / line boxes / orientation columns.
 
-Wire as::
+Wire as (``pipelines/extract.py:ocr_media``)::
 
+    concurrency, num_cpus = ocr_pool(cfg.ocr_concurrency)
     media.map_batches(OcrActor, fn_constructor_kwargs={"model_blob": blob},
                       batch_format="pyarrow", zero_copy_batch=True,
                       batch_size=cfg.ocr_batch_size,
-                      concurrency=cfg.ocr_concurrency, num_cpus=1)
+                      concurrency=concurrency, num_cpus=num_cpus)
 
 Skew note (SURVEY.md §4.2): media pages are recognized *before* any
 per-document grouping, one row at a time inside the batch, so a

@@ -44,7 +44,6 @@ def test_cli_extract_and_query_roundtrip(tmp_path):
         "--media", paths["media"],
         "--out", out_dir,
         "--golden", paths["golden_spans"],
-        "--ocr-concurrency", "2",
     )
     summary = json.loads(line)
     assert summary["docs"] == 200
@@ -120,7 +119,6 @@ def test_cli_extract_quarantine_default_and_alert(tmp_path):
         "--docs", paths["documents"],
         "--media", poison_dir,
         "--out", out_dir,
-        "--ocr-concurrency", "2",
     )
     summary = json.loads(line)
     assert summary["quarantined"] > 0
@@ -135,8 +133,7 @@ def test_cli_extract_quarantine_default_and_alert(tmp_path):
          "--docs", paths["documents"],
          "--media", poison_dir,
          "--out", str(tmp_path / "extract_strict"),
-         "--ocr-concurrency", "2",
-         "--on-error", "raise"],
+          "--on-error", "raise"],
         cwd=REPO, capture_output=True, text=True, timeout=300,
         env={**os.environ, "RAY_DEDUP_LOGS": "0"},
     )

@@ -82,20 +82,6 @@ def test_split_quarantine_whole_doc():
     assert quar.column("error").null_count == 1  # the text span keeps null
 
 
-def test_split_quarantine_passthrough_without_error_column():
-    t = pa.table(
-        {
-            "doc_id": ["a"],
-            "offset": pa.array([0], pa.int32()),
-            "kind": ["text"],
-            "text": ["hi"],
-            "media_ref": [""],
-        }
-    )
-    clean, quar = split_quarantine(t)
-    assert clean is t and quar.num_rows == 0
-
-
 def test_flagship_quarantines_poison_doc_and_resumes(small_corpus, tmp_path):
     import ray.data as rd
 

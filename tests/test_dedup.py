@@ -105,7 +105,7 @@ def test_minhash_lsh_dedup(corpus_ds):
 
     kept = set(
         minhash_lsh_dedup(
-            corpus_ds, threshold=0.7, num_buckets=8, join_partitions=4
+            corpus_ds, threshold=0.7, num_buckets=8
         ).to_pandas()["doc_id"]
     )
     assert {1000, 1001, 2000, 2001}.isdisjoint(kept)  # exact + near dropped
@@ -118,7 +118,7 @@ def test_simhash_dedup(corpus_ds):
 
     kept = set(
         simhash_dedup(
-            corpus_ds, max_hamming=6, num_buckets=8, join_partitions=4
+            corpus_ds, max_hamming=6, num_buckets=8
         ).to_pandas()["doc_id"]
     )
     assert 1000 not in kept and 1001 not in kept
@@ -153,7 +153,7 @@ def test_embedding_neardup(ray_session):
     ds = rd.from_arrow(pa.Table.from_pylist(rows))
     kept = set(
         embedding_neardup(
-            ds, threshold=0.98, num_buckets=8, join_partitions=4
+            ds, threshold=0.98, num_buckets=8
         ).to_pandas()["vec_id"]
     )
     assert 500 not in kept and 501 not in kept

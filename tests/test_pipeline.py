@@ -5,7 +5,6 @@ import os
 
 import numpy as np
 import pyarrow as pa
-import pytest
 
 from tesseract_wasm_ray.fixtures import documents_batch
 from tesseract_wasm_ray.pipelines.extract import (
@@ -62,10 +61,8 @@ def test_ocr_media_stage_matches_golden_boxes(small_corpus):
         assert got_words == exp_words, ref
 
 
-@pytest.mark.parametrize("strategy", ["bucket", "hash", "broadcast"])
-def test_extract_span_equality(small_corpus, strategy):
+def test_extract_span_equality(small_corpus):
     cfg = _cfg()
-    cfg.join_strategy = strategy
     result = run_extract(small_corpus["documents"], small_corpus["media"], cfg)
     report = validate_against_golden(result, small_corpus["golden_spans"])
     assert report["docs_mismatched"] == 0
