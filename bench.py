@@ -206,14 +206,15 @@ def headline(sf_dir: str, num_cpus: int, n_docs: int | None = None) -> dict:
     from tesseract_wasm_ray.pipelines.queries import corpus_for
 
     paths = corpus_for(sf_dir, n_docs=n_docs)  # cached; built before timing
-    # CPU budget: the OCR pool is a LONG-LIVED reservation, sized by
-    # extract.ocr_pool so the feeding map tasks keep a whole CPU.
+    # CPU budget: at most ocr_pool's concurrency OCR tasks run at once
+    # and together they claim at most cpus-1, so the feeding map tasks
+    # keep a whole CPU.
     # OCR batch size scales with corpus size: per-task driver scheduling
     # is a SERIAL cost (measured as the F in F + C/n across CPU levels —
     # it grew 8.5s -> 17s when the corpus went 80k -> 240k docs at fixed
     # batch 256), so large corpora use fewer, bigger batches.  ~1.5 s of
-    # recognition per 1024-page batch still gives every actor dozens of
-    # batches at the scaling corpus sizes.
+    # recognition per 1024-page batch still gives every OCR task slot
+    # dozens of batches at the scaling corpus sizes.
     batch = 256 if (n_docs or 5000) < 100_000 else 1024
     cfg = ExtractConfig(
         ocr_batch_size=batch,

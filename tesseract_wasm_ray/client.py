@@ -10,7 +10,7 @@ guarantee per-actor).
 
 ``destroy()`` kills the actor, mirroring worker termination
 (/root/reference/src/ocr-client.ts:117-120).  For corpus-scale work use
-the actor-pool pipeline (pipelines/extract.py) — this class is the
+the map-task pipeline (pipelines/extract.py) — this class is the
 single-document/interactive tier.
 """
 

@@ -17,8 +17,8 @@ Mirrors the reference's low-level sync engine
 - error paths: ops before image / before model raise
   (/root/reference/src/ocr-engine.ts:130-131,147-149,159-161,205-207).
 
-The Ray-scale tier (pipelines/extract.py) wraps this same kernel in an
-actor pool, playing the role of the async ``OCRClient``
+The Ray-scale tier (pipelines/extract.py) runs this same kernel in map
+tasks on reused Ray workers, playing the role of the async ``OCRClient``
 (/root/reference/src/ocr-client.ts:53).
 """
 

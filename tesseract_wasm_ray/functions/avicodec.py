@@ -1,8 +1,8 @@
 """From-scratch AVI/RIFF video codec (stdlib struct + numpy).
 
 Video enters the engine the same way images and audio do — an opaque
-Arrow ``binary`` column with typed metadata, decoded by an actor-pool
-stage (driver brief: multimodal columns with decode / frame-sample as
+Arrow ``binary`` column with typed metadata, decoded by a map-task
+stage (multimodal columns with decode / frame-sample as
 ``map_batches`` stages).  AVI is a RIFF container (the same chunk
 grammar as the WAV codec in functions/wavcodec.py); with uncompressed
 DIB frames it is the video analogue of BMP: a real parser is public-

@@ -18,8 +18,8 @@ From-scratch, deterministic, dependency-free:
    with ``\\n``.
 
 Pure function of the input string -> usable in stateless ``map_batches``;
-the pipeline stage (stages/strip.py) wraps it in an actor pool so the
-compiled regexes are built once per worker.
+the pipeline stage (stages/strip.py) runs it as plain map tasks; the
+compiled regexes are built once per worker process at import.
 """
 
 from __future__ import annotations

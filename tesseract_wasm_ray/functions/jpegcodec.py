@@ -23,7 +23,7 @@ copied from any implementation).
 
 The entropy loop is per-symbol Python (inherent to Huffman), but block
 math (DCT/IDCT/quant/zigzag) is vectorized over whole planes, and the
-hot path in the Ray pipeline runs inside the decode actor pool, one
+hot path in the Ray pipeline runs inside the decode map tasks, one
 page per loop iteration — the same shape the PNG branch uses.
 """
 

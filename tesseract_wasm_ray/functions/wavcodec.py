@@ -1,8 +1,8 @@
 """From-scratch WAV/RIFF PCM codec (stdlib struct + numpy).
 
 Audio enters the engine the same way images do — an opaque Arrow
-``binary`` column with typed metadata (driver brief: multimodal columns
-with decode/feature-extract as actor-pool stages).  WAV is an
+``binary`` column with typed metadata (multimodal columns with
+decode/feature-extract as ``map_batches`` stages).  WAV is an
 uncompressed RIFF container, the audio analogue of BMP: a real parser
 is ~60 lines of public-spec chunk walking, so the engine implements it
 instead of stubbing (mp3/h264/vp9 stay stubbed; no codec libs in this

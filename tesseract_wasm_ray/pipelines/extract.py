@@ -1,15 +1,18 @@
 """The flagship extraction pipeline (SURVEY.md §3.5).
 
 ``config -> read documents -> explode spans -> strip text spans ⊕ OCR
-actor pool over the media table -> bucket join on media_ref ->
-reassemble per doc_id -> validate / write + manifest``
+tasks over the media table -> bucket join on media_ref -> reassemble
+per doc_id -> validate / write + manifest``
 
 Ray-Data-first shape:
 
 - every stage is a ``map_batches`` over Arrow batches (zero-copy);
-- the OCR stage is a fixed actor pool holding the warm glyph model
-  (the reference's worker-per-engine model, SURVEY.md §2.3), sized to
-  the session by ``ocr_pool``;
+- the OCR stage is a bounded pool of map TASKS over one ``OcrActor``
+  instance holding the loaded glyph model, sized to the session by
+  ``ocr_pool``.  Ray reuses its task worker processes across
+  executions, so they stay warm between runs (the reference's
+  warm worker-per-engine model, SURVEY.md §2.3) without an actor pool
+  to start and kill on every run;
 - recognition runs over the *media table* before any join, so pixel
   payloads never enter a shuffle — only (media_ref, text) pairs do;
 - the docs are read and exploded once; the media_ref join is a bucketed
@@ -67,7 +70,7 @@ class ExtractConfig:
     # under the worker heap (rows here are small text structs).
     coalesce_partitions: int = 16
     # Resume: media pages of completed buckets are pruned BEFORE the OCR
-    # pool via a broadcast set of still-needed media_refs, bounded by
+    # stage via a broadcast set of still-needed media_refs, bounded by
     # this cap (a near-complete resume has few refs).  An early-crash
     # resume exceeding the cap switches to a bucketed SEMI join of the
     # media table against the needed-ref stream — same pruning, one
@@ -75,7 +78,7 @@ class ExtractConfig:
     # set, no re-OCR of completed buckets.
     max_resume_refs: int = 5_000_000
     emit_boxes: bool = False
-    # Dead-letter policy for the OCR pool: "quarantine" (default — a
+    # Dead-letter policy for the OCR stage: "quarantine" (default — a
     # malformed payload poisons one row, lands in the bucket's
     # quarantine file, and the 100-TB run keeps going) or "raise" (the
     # strict CI mode: stop on the first corrupt page).
@@ -90,15 +93,16 @@ class ExtractConfig:
 
 
 def ocr_pool(concurrency: int | None = None, cpus: float | None = None) -> tuple[int, float]:
-    """The one sizing rule for every OCR-family actor pool ->
-    ``(concurrency, num_cpus per actor)``.
+    """The one sizing rule for every OCR-family stage ->
+    ``(concurrency, num_cpus per task)``.
 
-    ``cpus`` defaults to the session's logical CPU total.  The pool
-    claims at most ``cpus - 1``, so the read / explode tasks that feed
-    it always keep one whole CPU: a pool that claims every CPU starves
-    its own input and the pipeline hangs.  Actors are fractional (at
-    most 0.5, and 0 in a 1-CPU session) and the OS timeshares the real
-    cores."""
+    ``cpus`` defaults to the session's logical CPU total.  At most
+    ``concurrency`` OCR tasks run at once and together they claim at
+    most ``cpus - 1``, so the read / explode tasks that feed them
+    always keep one whole CPU.  Tasks are fractional (at most 0.5, and
+    0 in a 1-CPU session) and the OS timeshares the real cores.  The
+    fractional claim also keeps the OCR operator from fusing with the
+    read before it or the map after it (fusion needs equal resources)."""
     if cpus is None:
         cpus = ray.cluster_resources().get("CPU", 1) if ray.is_initialized() else os.cpu_count()
     cpus = max(1, int(cpus or 1))
@@ -114,7 +118,8 @@ def ocr_media(
     ref_filter=None,
     ref_filter_ds: rd.Dataset | None = None,
 ) -> rd.Dataset:
-    """media table -> per-page OCR results (actor-pool stage).
+    """media table -> per-page OCR results (the ``MapBatches(OcrActor)``
+    task stage).
 
     ``ref_filter``: optional ``ray.ObjectRef`` of a pa.Array of
     media_refs still needed (resume pruning) — rows outside it never
@@ -139,13 +144,16 @@ def ocr_media(
             num_partitions=cfg.join_partitions,
         )
     concurrency, num_cpus = ocr_pool(cfg.ocr_concurrency)
+    # A callable INSTANCE makes task compute: no actor starts or dies
+    # per execution, and Ray's pooled task workers stay warm across
+    # runs.  The model is 333 bytes and the loaded instance pickles to
+    # about 3 KB, so shipping it with each task is cheap.
     return media.map_batches(
-        OcrActor,
-        fn_constructor_kwargs={
-            "model_blob": cfg.model_blob,
-            "emit_boxes": cfg.emit_boxes if emit_boxes is None else emit_boxes,
-            "on_error": cfg.on_error,
-        },
+        OcrActor(
+            model_blob=cfg.model_blob,
+            emit_boxes=cfg.emit_boxes if emit_boxes is None else emit_boxes,
+            on_error=cfg.on_error,
+        ),
         batch_format="pyarrow",
         zero_copy_batch=True,
         batch_size=cfg.ocr_batch_size,

@@ -2028,11 +2028,7 @@ def q_audio_features(sf_dir: str):
     ds = rd.read_parquet(
         os.path.join(sf_dir, "documents.parquet"), columns=["doc_id"]
     ).map_batches(synth, batch_format="pyarrow")
-    # autoscaling (2, 8) actor pool: min 2 leaves CPUs for the feeding
-    # synth/read tasks in small sessions (a FIXED pool of 8 one-CPU
-    # actors deadlocks an 8-CPU driver — actors reserve every slot and
-    # the upstream tasks starve); max 8 soaks up a 32-CPU host.
-    return audio_features(ds, id_col="doc_id", concurrency=(2, 8), batch_size=256)
+    return audio_features(ds, id_col="doc_id", batch_size=256)
 
 
 def q_user_event_diversity(sf_dir: str):
@@ -2404,7 +2400,7 @@ def q_extract_quarantine(sf_dir: str):
 
 
 def q_ocr_text(sf_dir: str):
-    """OCR actor pool over the media table -> page text + word count."""
+    """OCR map tasks over the media table -> page text + word count."""
     paths = corpus_for(sf_dir)
     return ocr_media(paths["media"], _extract_cfg()).map_batches(
         lambda b: b.select(["media_ref", "text", "n_words"]), batch_format="pyarrow"
@@ -2469,7 +2465,7 @@ def q_layout_boxes(sf_dir: str):
     media = rd.read_parquet(paths["media"])
     concurrency, num_cpus = ocr_pool()
     return media.map_batches(
-        LayoutActor,
+        LayoutActor(),
         batch_format="pyarrow",
         zero_copy_batch=True,
         batch_size=64,
@@ -2480,7 +2476,6 @@ def q_layout_boxes(sf_dir: str):
 
 def q_hocr(sf_dir: str):
     """hOCR rendering: stable digest per page document."""
-    from ..functions.hocr import render_hocr  # noqa: F401  (rendered in actor)
     from ..stages.ocr_actor import HocrActor
     from ..state.glyph_model import GlyphModel
 
@@ -2488,8 +2483,7 @@ def q_hocr(sf_dir: str):
     media = rd.read_parquet(paths["media"])
     concurrency, num_cpus = ocr_pool()
     return media.map_batches(
-        HocrActor,
-        fn_constructor_kwargs={"model_blob": GlyphModel.build().to_bytes()},
+        HocrActor(model_blob=GlyphModel.build().to_bytes()),
         batch_format="pyarrow",
         zero_copy_batch=True,
         batch_size=64,
@@ -6268,8 +6262,8 @@ def q_video_frames(sf_dir: str):
     deterministic solid-color frame sequence synthesized from
     md5(doc_id) (dimensions, frame count, and the per-frame value ramp
     all md5-derived so DuckDB recomputes them in closed form), encoded
-    to AVI, then decoded + frame-sampled (stride 2) by the actor-pool
-    stage (stages.multimodal.video_frames).  Essence routing is
+    to AVI, then decoded + frame-sampled (stride 2) by the task stage
+    stages.multimodal.video_frames.  Essence routing is
     md5-derived too: docs with an even 11th hex digit encode as
     Motion-JPEG (each frame a standalone baseline JPEG from the
     engine's own T.81 codec — a real COMPRESSED video essence), the
@@ -6304,7 +6298,7 @@ def q_video_frames(sf_dir: str):
     ds = rd.read_parquet(
         os.path.join(sf_dir, "documents.parquet"), columns=["doc_id"]
     ).map_batches(synth, batch_format="pyarrow")
-    return video_frames(ds, id_col="doc_id", stride=2, concurrency=4, batch_size=16)
+    return video_frames(ds, id_col="doc_id", stride=2, batch_size=16)
 
 
 def q_incremental_dedup(sf_dir: str):

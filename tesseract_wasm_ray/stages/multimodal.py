@@ -2,11 +2,11 @@
 
 Images/audio/video are carried as Arrow ``binary`` columns with
 (width, height, channels / sample_rate / fps) metadata, processed by
-actor-pool ``map_batches`` stages.  Raw-raster operations (resize,
-feature extraction, frame slicing) are REAL numpy implementations, and
-so are the BMP (uncompressed 24/32-bit) and binary PNM (P5/P6)
-container decoders, the PNG codec (chunk parse + stdlib-zlib inflate +
-per-row unfilter), the baseline JPEG codec (8x8 DCT + Huffman
+task-compute ``map_batches`` stages (see ``_media_stage``).  Raw-raster
+operations (resize, feature extraction, frame slicing) are REAL numpy
+implementations, and so are the BMP (uncompressed 24/32-bit) and binary
+PNM (P5/P6) container decoders, the PNG codec (chunk parse +
+stdlib-zlib inflate + per-row unfilter), the baseline JPEG codec (8x8 DCT + Huffman
 entropy coding, functions/jpegcodec.py), the GIF codec (full LZW
 with variable code widths + dictionary resets, functions/gifcodec.py)
 the TIFF codec (PackBits RLE + TIFF-flavor MSB/early-change LZW +
@@ -23,7 +23,7 @@ essences: mp3/h264-proper/vp9) are
 STUBBED (no codec libs in this container — driver brief): they raise
 ``NotImplementedError`` unless ``fake="deterministic"``, which produces
 a seeded synthetic raster so the Ray-side plumbing (schema, batch
-sizing, actor signature, output layout) is fully exercised and tested.
+sizing, stage signature, output layout) is fully exercised and tested.
 
 Batch sizing: payload rows are wide; callers pass small ``batch_size``
 (default 16 in :func:`decode_media`) so batch × concurrency fits a
@@ -45,7 +45,7 @@ RAW_CODECS = {"raw", "raw-rgba", "raw-gray"}
 # decode_png) and baseline JPEG on nothing but numpy (DCT + Huffman,
 # functions/jpegcodec.py).  WAV is REAL too but is audio, handled by
 # AudioFeatureActor / functions/wavcodec.py — a wav payload reaching
-# the IMAGE decode actor is a mis-typed row and stays stub-gated here.
+# the IMAGE decode stage is a mis-typed row and stays stub-gated here.
 REAL_CODECS = {"bmp", "pnm", "pgm", "ppm", "png", "jpeg", "gif", "tiff", "webp"}
 STUB_CODECS = {"mp3", "wav", "h264"}
 
@@ -274,16 +274,15 @@ def _fake_raster(ref: str, width: int, height: int, channels: int) -> np.ndarray
 
 
 class MediaDecodeActor:
-    """Actor-pool decode stage: (media_ref, payload, codec, width,
-    height, channels) -> raw ``pixels`` rows.
+    """Decode stage: (media_ref, payload, codec, width, height,
+    channels) -> raw ``pixels`` rows.
 
-    ``__init__`` is the once-per-actor setup point (codec contexts /
-    model handles at scale); ``__call__`` handles one Arrow batch.
+    ``__init__`` is the once-per-instance setup point (the instance is
+    built by the caller and shipped to each map task); ``__call__``
+    handles one Arrow batch.
     """
 
     def __init__(self, fake: str | None = None, on_error: str = "raise"):
-        # Real codec initialization would happen here (load libjpeg
-        # contexts etc.) — once per actor, NOT per batch.
         if on_error not in ("raise", "quarantine"):
             raise ValueError(f"on_error must be raise|quarantine, got {on_error!r}")
         self.fake = fake
@@ -378,41 +377,37 @@ class MediaDecodeActor:
         )
 
 
-def decode_media(
-    ds,
-    fake: str | None = None,
-    concurrency: int | tuple | None = None,
-    batch_size: int = 16,
-):
-    """Wire the decode stage: small batches (wide rows), one CPU per
-    worker.
+def _media_stage(ds, fn, concurrency: int | None, batch_size: int):
+    """Wire one media stage: a TASK-compute ``map_batches`` over the
+    callable instance ``fn`` (``concurrency`` caps the concurrent tasks,
+    ``None`` leaves it to Ray Data).
 
-    Default is a plain TASK pool: the from-scratch codecs are
-    stateless (the only per-process state, the JPEG Huffman LUT cache,
-    lives in a module-level ``lru_cache`` that Ray's reused worker
-    processes keep warm), and at sf0.1 the task pool measured 4.7 s
-    where an actor pool measured 13-15 s at EVERY size from 12 to 28
-    actors — Ray 2.49's ActorPoolMapOperator ramps up and queues too
-    slowly for many sub-second tasks.  Pass ``concurrency`` to get the
-    actor-pool shape instead — the right wiring when decode holds real
-    per-worker state (a codec library handle, a GPU context): setup in
-    ``__init__`` once per actor, work per batch."""
-    if concurrency is None:
-        return ds.map_batches(
-            MediaDecodeActor(fake=fake),
-            batch_format="pyarrow",
-            zero_copy_batch=True,
-            batch_size=batch_size,
-        )
+    The from-scratch codecs are stateless (the only per-process state,
+    the JPEG Huffman LUT cache, lives in a module-level ``lru_cache``
+    that Ray's reused worker processes keep warm), tasks hand their CPU
+    back between batches so they never starve the tasks that feed them
+    in a 1- or 2-CPU session, and at sf0.1 the decode task pool measured
+    4.7 s where an actor pool measured 13-15 s at EVERY size from 12 to
+    28 actors — Ray 2.49's ActorPoolMapOperator ramps up and queues too
+    slowly for many sub-second tasks."""
     return ds.map_batches(
-        MediaDecodeActor,
-        fn_constructor_kwargs={"fake": fake},
+        fn,
         batch_format="pyarrow",
         zero_copy_batch=True,
         batch_size=batch_size,
         concurrency=concurrency,
-        num_cpus=1,
     )
+
+
+def decode_media(
+    ds,
+    fake: str | None = None,
+    concurrency: int | None = None,
+    batch_size: int = 16,
+):
+    """Wire the decode stage: small batches (wide rows), one task per
+    batch (``_media_stage``)."""
+    return _media_stage(ds, MediaDecodeActor(fake=fake), concurrency, batch_size)
 
 
 def resize_nearest(batch: pa.Table, out_w: int, out_h: int) -> pa.Table:
@@ -556,11 +551,11 @@ def sample_frames(batch: pa.Table, every_nth: int = 10) -> pa.Table:
 
 
 class AudioFeatureActor:
-    """Actor-pool audio stage: decode WAV payloads (REAL from-scratch
+    """Audio stage: decode WAV payloads (REAL from-scratch
     RIFF codec — PCM and compressed IMA ADPCM essences,
     functions/{wavcodec,adpcmcodec}.py) and emit per-clip features.
-    Same shape as MediaDecodeActor: stateful setup in ``__init__`` once
-    per actor, per-batch decode loop over opaque binary payloads,
+    Same shape as MediaDecodeActor: setup in ``__init__`` once per
+    instance, per-batch decode loop over opaque binary payloads,
     column-wise Arrow output."""
 
     def __init__(self, id_col: str = "media_ref", on_error: str = "raise"):
@@ -654,33 +649,27 @@ class AudioFeatureActor:
 def audio_features(
     ds,
     id_col: str = "media_ref",
-    concurrency: int = 4,
+    concurrency: int | None = None,
     batch_size: int = 64,
     on_error: str = "raise",
 ):
-    """Actor-pool WAV decode + feature extraction over a Dataset with
-    (id_col, payload) columns.  ``on_error="quarantine"`` adds an
-    ``error`` column instead of failing the task on a corrupt clip
-    (the dead-letter discipline of MediaDecodeActor/OcrActor)."""
-    import functools
-
-    return ds.map_batches(
-        AudioFeatureActor,
-        fn_constructor_kwargs={"id_col": id_col, "on_error": on_error},
-        batch_format="pyarrow",
-        concurrency=concurrency,
-        batch_size=batch_size,
-        num_cpus=1,
+    """WAV decode + feature extraction over a Dataset with
+    (id_col, payload) columns, as map tasks (``_media_stage``).
+    ``on_error="quarantine"`` adds an ``error`` column instead of failing
+    the task on a corrupt clip (the dead-letter discipline of
+    MediaDecodeActor/OcrActor)."""
+    return _media_stage(
+        ds, AudioFeatureActor(id_col=id_col, on_error=on_error), concurrency, batch_size
     )
 
 
 class VideoFrameActor:
-    """Actor-pool video stage: decode AVI payloads (REAL from-scratch
+    """Video stage: decode AVI payloads (REAL from-scratch
     RIFF container + uncompressed-DIB frame codec,
     functions/avicodec.py) and fan out one row per SAMPLED frame —
     the frame-sampling shape a multimodal training pipeline runs
     before per-frame feature extraction.  Same discipline as
-    MediaDecodeActor: codec bound once per actor in ``__init__``,
+    MediaDecodeActor: codec bound once per instance in ``__init__``,
     per-batch decode loop over opaque binary payloads, column-wise
     Arrow output.  ``stride`` picks every stride-th frame (frame 0
     always included); ``emit_pixels=True`` additionally carries each
@@ -768,26 +757,19 @@ def video_frames(
     ds,
     id_col: str = "media_ref",
     stride: int = 2,
-    concurrency: int = 4,
+    concurrency: int | None = None,
     batch_size: int = 16,
     emit_pixels: bool = False,
     on_error: str = "raise",
 ):
-    """Actor-pool AVI decode + frame sampling over a Dataset with
-    (id_col, payload) columns.  Video payloads are the widest rows in
-    the engine (frames x stride x height), so the default batch_size
-    is small — batch x concurrency must fit a worker heap.
+    """AVI decode + frame sampling over a Dataset with (id_col, payload)
+    columns, as map tasks (``_media_stage``).  Video payloads are the widest rows in the
+    engine (frames x stride x height), so the default batch_size is
+    small — batch x concurrency must fit a worker heap.
     ``on_error="quarantine"`` emits one error row per corrupt clip
     instead of failing the task (the MediaDecodeActor dead-letter
     discipline)."""
-    return ds.map_batches(
-        VideoFrameActor,
-        fn_constructor_kwargs={
-            "id_col": id_col, "stride": stride, "emit_pixels": emit_pixels,
-            "on_error": on_error,
-        },
-        batch_format="pyarrow",
-        concurrency=concurrency,
-        batch_size=batch_size,
-        num_cpus=1,
+    stage = VideoFrameActor(
+        id_col=id_col, stride=stride, emit_pixels=emit_pixels, on_error=on_error
     )
+    return _media_stage(ds, stage, concurrency, batch_size)

@@ -1,11 +1,15 @@
-"""OcrActor — the stateful OCR stage (actor pool for map_batches).
+"""OcrActor — the OCR stage's callable for map_batches.
 
 The Ray-native equivalent of the reference's worker-held engine: one
-warm engine + loaded model per worker
-(/root/reference/src/worker.ts:14-20, src/node-worker.js:46-53; pool
-advice at examples/node-server/ocr-server.js:48-51).  Model load happens
-ONCE per actor in ``__init__`` (ST2, SURVEY.md §2.3); each ``__call__``
-processes one Arrow batch of media rows.
+engine + loaded model per worker (reference src/worker.ts:14-20,
+src/node-worker.js:46-53; pool advice at
+examples/node-server/ocr-server.js:48-51).  The model loads ONCE in
+``__init__``, in the process that builds the plan (ST2, SURVEY.md
+§2.3); the loaded instance ships with each map task and each
+``__call__`` processes one Arrow batch of media rows.  Despite the name it runs as TASK compute,
+not as an actor: Ray keeps its task worker processes warm across
+executions, so no worker starts or dies per run, and the model is
+small enough (333 bytes, sub-ms load) that there is nothing to warm.
 
 Per row: decode raw pixels -> binarize -> detect orientation ->
 derotate -> layout + recognition (all vectorized numpy inside the
@@ -14,15 +18,18 @@ kernel) -> text / word boxes / line boxes / orientation columns.
 Wire as (``pipelines/extract.py:ocr_media``)::
 
     concurrency, num_cpus = ocr_pool(cfg.ocr_concurrency)
-    media.map_batches(OcrActor, fn_constructor_kwargs={"model_blob": blob},
+    media.map_batches(OcrActor(model_blob=blob),
                       batch_format="pyarrow", zero_copy_batch=True,
                       batch_size=cfg.ocr_batch_size,
                       concurrency=concurrency, num_cpus=num_cpus)
 
+``LayoutActor`` and ``HocrActor`` wire the same way.
+
 Skew note (SURVEY.md §4.2): media pages are recognized *before* any
 per-document grouping, one row at a time inside the batch, so a
 media-heavy document never makes a straggler partition — its pages
-spread across the whole actor pool; only small text structs shuffle.
+spread across all the concurrent OCR tasks; only small text structs
+shuffle.
 """
 
 from __future__ import annotations

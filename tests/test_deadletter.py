@@ -9,7 +9,10 @@ outputs, and manifest accounting — one poison row out of 10^12 must
 cost one document, not the run.
 """
 
+import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pyarrow as pa
@@ -82,16 +85,23 @@ def test_split_quarantine_whole_doc():
     assert quar.column("error").null_count == 1  # the text span keeps null
 
 
-def test_flagship_quarantines_poison_doc_and_resumes(small_corpus, tmp_path):
-    import ray.data as rd
-
-    docs_path = small_corpus["documents"]
+def _poisoned_media_dir(small_corpus, tmp_path) -> tuple[str, str]:
+    """The corpus's media table with its first page's pixel buffer
+    corrupted, written under ``tmp_path`` -> (media dir, poisoned ref)."""
     media = _read_dir(small_corpus["media"])
     poison_ref = media.column("media_ref")[0].as_py()
     poisoned = _poison_media(media, poison_ref, b"\xde\xad")
     media_dir = str(tmp_path / "media")
     os.makedirs(media_dir)
     pq.write_table(poisoned, os.path.join(media_dir, "part-0.parquet"))
+    return media_dir, poison_ref
+
+
+def test_flagship_quarantines_poison_doc_and_resumes(small_corpus, tmp_path):
+    import ray.data as rd
+
+    docs_path = small_corpus["documents"]
+    media_dir, poison_ref = _poisoned_media_dir(small_corpus, tmp_path)
 
     # which doc owns the poison ref (fixture media refs are per-doc)
     docs = _read_dir(docs_path)
@@ -130,3 +140,58 @@ def test_flagship_quarantines_poison_doc_and_resumes(small_corpus, tmp_path):
     # resume: all buckets complete -> nothing recomputed, no re-OCR
     rows2 = run_extract(docs_path, media_dir, _cfg(), out_dir=out)
     assert rows2 == []
+
+
+_STRICT_RUN = """
+import json, sys, traceback
+import ray
+ray.init(address="local", num_cpus=2, include_dashboard=False, logging_level="ERROR")
+import tesseract_wasm_ray.pipelines.extract as ex
+
+docs, media, out, trace, poison_ref = sys.argv[1:]
+
+
+class TracingOcr(ex.OcrActor):
+    def __call__(self, batch):
+        if poison_ref in batch.column("media_ref").to_pylist():
+            with open(trace, "a") as f:
+                f.write("attempt\\n")
+        return super().__call__(batch)
+
+
+ex.OcrActor = TracingOcr
+cfg = ex.ExtractConfig(ocr_concurrency=1, ocr_batch_size=32, num_buckets=8,
+                       join_partitions=4, on_error="raise")
+try:
+    ex.run_extract(docs, media, cfg, out_dir=out, resume=False)
+    result = {"raised": False}
+except Exception as e:  # noqa: BLE001
+    chain = "".join(traceback.format_exception(e))
+    result = {"raised": True, "reshape_error": "ValueError: cannot reshape" in chain}
+print(json.dumps(result))
+ray.shutdown()
+"""
+
+
+def test_strict_mode_raises_through_pipeline(small_corpus, tmp_path):
+    """``on_error="raise"`` stops ``run_extract`` on the first corrupt
+    page: the recognition error reaches the caller promptly, and the
+    failing batch is not retried (Ray retries only system errors, never
+    the stage's own exception)."""
+    media_dir, poison_ref = _poisoned_media_dir(small_corpus, tmp_path)
+    trace = str(tmp_path / "ocr_trace")
+    repo = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    proc = subprocess.run(
+        [sys.executable, "-c", _STRICT_RUN, small_corpus["documents"], media_dir,
+         str(tmp_path / "out"), trace, poison_ref],
+        cwd=repo,
+        capture_output=True,
+        text=True,
+        timeout=180,
+        env={**os.environ, "PYTHONPATH": repo},
+    )
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    result = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert result == {"raised": True, "reshape_error": True}
+    with open(trace) as f:
+        assert f.read().splitlines() == ["attempt"]

@@ -123,7 +123,7 @@ def test_byte_stuffing_roundtrip():
 
 
 def test_decode_actor_jpeg_branch(ray_session):
-    """jpeg is a REAL codec in the decode actor pool: decoded dims are
+    """jpeg is a REAL codec in the decode stage: decoded dims are
     authoritative, pixels close to the original raster."""
     import ray.data as rd
 

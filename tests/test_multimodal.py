@@ -101,7 +101,7 @@ def test_sample_frames_raw_video():
 
 
 def test_decode_actor_pool_pipeline(ray_session):
-    """Actor-pool wiring end-to-end over a small media dataset."""
+    """Decode-stage wiring end-to-end over a small media dataset."""
     import ray.data as rd
 
     from tesseract_wasm_ray.stages.multimodal import decode_media
@@ -175,7 +175,7 @@ def test_decode_pnm_roundtrip():
 
 
 def test_decode_actor_real_codecs(ray_session):
-    """BMP/PNM payloads flow through the decode actor pool with decoded
+    """BMP/PNM payloads flow through the decode stage with decoded
     dims authoritative over metadata."""
     import ray.data as rd
 
@@ -308,7 +308,7 @@ def test_decode_png_rejects_corruption():
 
 
 def test_decode_actor_png_branch(ray_session):
-    """PNG payloads flow through the decode actor pool end-to-end."""
+    """PNG payloads flow through the decode stage end-to-end."""
     import ray.data as rd
 
     from tesseract_wasm_ray.stages.multimodal import decode_media, encode_png
@@ -493,7 +493,7 @@ def test_tiff_packbits_run_length_mod_128_tail():
 
 
 def test_decode_actor_gif_and_tiff_branches(ray_session):
-    """GIF and TIFF payloads flow through the decode actor pool
+    """GIF and TIFF payloads flow through the decode stage
     end-to-end; decoded dims override metadata."""
     import ray.data as rd
 

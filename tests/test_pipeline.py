@@ -102,7 +102,7 @@ def test_resume_semi_join_scale_path(small_corpus, tmp_path, monkeypatch):
     switches to the bucketed SEMI join (joins.bucket_semi_filter), which
     prunes media against the still-needed ref stream with no driver-side
     set.  Only the deleted partition's pages may reach the recognition
-    pool, and the redone output must still match the golden spans."""
+    stage, and the redone output must still match the golden spans."""
     import ray.data as rd
 
     import tesseract_wasm_ray.pipelines.extract as ex
@@ -156,10 +156,10 @@ def test_reassemble_preserves_offset_order(ray_session):
 
 def test_resume_prunes_ocr_compute(small_corpus, tmp_path, monkeypatch):
     """A fully-completed resume must not re-run recognition: the media
-    rows are pruned by the broadcast ref filter before the actor pool.
+    rows are pruned by the broadcast ref filter before the OCR stage.
     The tracing subclass is patched into the EXTRACT module (the class
-    object is cloudpickled by value into the actor workers, so the
-    trace file is written from their processes)."""
+    object is cloudpickled by value into the OCR tasks, so the trace
+    file is written from their worker processes)."""
     import os
 
     import tesseract_wasm_ray.pipelines.extract as ex
@@ -185,4 +185,4 @@ def test_resume_prunes_ocr_compute(small_corpus, tmp_path, monkeypatch):
     recognized = (
         sum(int(line) for line in open(trace)) if os.path.exists(trace) else 0
     )
-    assert recognized == 0  # no page reached the recognition pool
+    assert recognized == 0  # no page reached the recognition stage

@@ -1,7 +1,9 @@
-"""OCR-pool sizing: one rule (``extract.ocr_pool``) that always leaves
-the pool's feeding tasks a whole CPU, so the flagship completes at any
-session size — including the 1- and 2-CPU sessions where a pool that
-claims every CPU makes no progress."""
+"""Pool sizing and compute shape: the OCR stage runs as bounded map
+tasks sized by one rule (``extract.ocr_pool``) that always leaves the
+feeding tasks a whole CPU, and the media stages run as task pools, so
+the flagship and the media queries complete at any session size —
+including the 1- and 2-CPU sessions where a pool that claims every CPU
+makes no progress."""
 
 import json
 import os
@@ -30,6 +32,55 @@ def test_ocr_pool_at_four_cpus():
     assert ocr_pool(3, cpus=4) == (3, 0.5)
     assert ocr_pool(cpus=1) == (1, 0)
     assert ocr_pool(2, cpus=8) == (2, 0.5)
+
+
+def _plan(ds):
+    """(logical ops, physical op names) of ``ds``'s plan, without
+    executing it.  Reads Ray Data internals (``Dataset._logical_plan``,
+    ``op._compute``, ``get_execution_plan``) as laid out in Ray 2.49;
+    a Ray upgrade that moves them breaks only this helper."""
+    from ray.data._internal.logical.optimizers import get_execution_plan
+
+    logical = list(ds._logical_plan.dag.post_order_iter())
+    physical = [op.name for op in get_execution_plan(ds._logical_plan).dag.post_order_iter()]
+    return logical, physical
+
+
+def _is_task_pool(op, size):
+    from ray.data._internal.compute import TaskPoolStrategy
+
+    return isinstance(op._compute, TaskPoolStrategy) and op._compute.size == size
+
+
+def test_ocr_stage_runs_as_tasks(small_corpus):
+    """The OCR operator of ``run_extract`` is task compute (no actor
+    pool to start and kill per execution), keeps its exact name (the
+    benchmark ledger finds it by ``MapBatches(OcrActor)``), and stays
+    its own physical operator, unfused with the read or ``pad_ocr``."""
+    from tesseract_wasm_ray.pipelines.extract import ExtractConfig, run_extract
+
+    for cfg in (ExtractConfig(), ExtractConfig(ocr_concurrency=3)):
+        ds = run_extract(small_corpus["documents"], small_corpus["media"], cfg)
+        logical, physical = _plan(ds)
+        ocr = [op for op in logical if "OcrActor" in op.name]
+        assert [op.name for op in ocr] == ["MapBatches(OcrActor)"]
+        assert _is_task_pool(ocr[0], ocr_pool(cfg.ocr_concurrency)[0])
+        assert [n for n in physical if "OcrActor" in n] == ["MapBatches(OcrActor)"]
+
+
+def test_media_stages_run_as_tasks(ray_session):
+    """The media stages are task compute with or without a
+    ``concurrency`` cap (it bounds tasks, it never asks for actors)."""
+    import pyarrow as pa
+    import ray.data as rd
+
+    from tesseract_wasm_ray.stages.multimodal import audio_features, decode_media, video_frames
+
+    ds = rd.from_arrow(pa.table({"media_ref": ["m"], "payload": [b""]}))
+    for wire in (decode_media, audio_features, video_frames):
+        for concurrency in (None, 2):
+            logical, _ = _plan(wire(ds, concurrency=concurrency))
+            assert _is_task_pool(logical[-1], concurrency), (wire.__name__, concurrency)
 
 
 _RUN_EXTRACT = """
@@ -61,3 +112,41 @@ def test_run_extract_completes_in_small_session(num_cpus, tmp_path):
     assert out.returncode == 0, out.stderr[-2000:]
     report = json.loads(out.stdout.strip().splitlines()[-1])
     assert report == {"docs_ok": 40, "docs_mismatched": 0, "docs_missing": 0}
+
+
+_RUN_MEDIA = """
+import json, sys
+import ray
+ray.init(address="local", num_cpus=int(sys.argv[1]), include_dashboard=False,
+         logging_level="ERROR")
+from tesseract_wasm_ray.pipelines.queries import q_audio_features, q_video_frames
+print(json.dumps({"audio": q_audio_features(sys.argv[2]).count(),
+                  "video": q_video_frames(sys.argv[2]).count()}))
+ray.shutdown()
+"""
+
+
+@pytest.mark.parametrize("num_cpus", [1, 2])
+def test_media_queries_complete_in_small_session(num_cpus, tmp_path):
+    """The audio and video stages in a fresh 1- or 2-CPU session: one
+    feature row per clip and one row per sampled frame (stride 2 over
+    4 + md5-derived 0..7 frames), well inside the timeout."""
+    import hashlib
+
+    import pyarrow as pa
+    import pyarrow.parquet as pq
+
+    ids = [f"doc-{i:04d}" for i in range(60)]
+    pq.write_table(pa.table({"doc_id": ids}), str(tmp_path / "documents.parquet"))
+    frames = [4 + int(hashlib.md5(d.encode()).hexdigest()[4:6], 16) % 8 for d in ids]
+    out = subprocess.run(
+        [sys.executable, "-c", _RUN_MEDIA, str(num_cpus), str(tmp_path)],
+        cwd=REPO,
+        capture_output=True,
+        text=True,
+        timeout=180,
+        env={**os.environ, "PYTHONPATH": REPO},
+    )
+    assert out.returncode == 0, out.stderr[-2000:]
+    counts = json.loads(out.stdout.strip().splitlines()[-1])
+    assert counts == {"audio": len(ids), "video": sum((n + 1) // 2 for n in frames)}

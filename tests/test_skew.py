@@ -1,9 +1,9 @@
 """Skew handling (SURVEY.md §4.2): adversarially media-heavy documents
 must not create straggler partitions.
 
-Design under test: recognition happens per media PAGE in the actor pool
+Design under test: recognition happens per media PAGE in the OCR tasks
 BEFORE any per-document grouping, so a 40-media doc spreads its pages
-across the whole pool; the reassembly shuffle moves only small text
+across all of them; the reassembly shuffle moves only small text
 structs, and crc32 doc_id bucketing concentrates bucket sizes tightly."""
 
 import numpy as np

@@ -324,7 +324,7 @@ def test_neighborhood_distance_codes():
 
 
 def test_decode_actor_webp_branch(ray_session):
-    """WebP payloads flow through the decode actor pool end-to-end;
+    """WebP payloads flow through the decode stage end-to-end;
     decoded dims override metadata."""
     import pyarrow as pa
     import ray.data as rd
