@@ -1,5 +1,4 @@
 from .dedup import (  # noqa: F401
-    anti_join_ids,
     chunk_dedup_docs,
     dup_ngram_stats,
     exact_dedup,
@@ -11,4 +10,4 @@ from .dedup import (  # noqa: F401
     simhash_dedup,
 )
 from .extract import ExtractConfig, ocr_media, run_extract, validate_against_golden  # noqa: F401
-from .joins import bucket_lookup_join, lookup_join_auto  # noqa: F401
+from .joins import bucket_lookup_join, lookup_join_auto, member_filter  # noqa: F401

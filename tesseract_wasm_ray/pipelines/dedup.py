@@ -16,9 +16,9 @@ Scale shape (100 TB): every family is
 ``map_batches (sketch, vectorized) -> groupby(bucket) (the one
 all-to-all, moving only small sketch rows — never full text except in
 the exact-Jaccard verify joins, which move only candidate PAIRS) ->
-anti-join of the dup-id set against the corpus (broadcast is_in
-filter by default; bucketed shuffle filter for huge dup sets —
-``anti_join_ids``)``.  "Keep"
+anti-join of the dup-id set against the corpus (joins.member_filter:
+broadcast is_in filter under one byte cap, bloom-routed bucketed filter
+past it)``.  "Keep"
 semantics are deterministic: the surviving row of a duplicate group is
 the one with the minimum id.
 
@@ -28,35 +28,22 @@ pattern), so re-runs produce identical partitions.
 
 from __future__ import annotations
 
-import hashlib
-import zlib
-
 import numpy as np
 import pyarrow as pa
-from ..functions.arrow_util import single_chunk as _single_chunk
 import pyarrow.compute as pc
 import ray.data as rd
 
+from ..functions.arrow_util import bucket_ids
+from ..functions.arrow_util import single_chunk as _single_chunk
 from ..functions.sketch import (
     hamming_distance,
     lsh_band_keys,
     minhash_signatures,
     shingle_hashes,
     signature_jaccard,
-    simhash,
     simhash_blocks,
 )
-
-
-
-
-
-
-def _crc_bucket_i64(keys: np.ndarray, num_buckets: int) -> np.ndarray:
-    """Stable bucket of an int64 key array (arithmetic, vectorized)."""
-    with np.errstate(over="ignore"):
-        mixed = (keys.astype(np.uint64) * np.uint64(0x9E3779B97F4A7C15)) >> np.uint64(40)
-    return (mixed % np.uint64(num_buckets)).astype(np.int32)
+from .joins import bucket_lookup_join, member_filter
 
 
 # ---------------------------------------------------------------------------
@@ -108,17 +95,7 @@ def keep_first_by(
                 f"keep_min_by: {keys.null_count} null values in key column "
                 f"{key_col!r} (keys must be non-null)"
             )
-        if pa.types.is_integer(keys.type):
-            b = _crc_bucket_i64(
-                keys.to_numpy(zero_copy_only=False).astype(np.int64), num_buckets
-            )
-        else:
-            enc = _single_chunk(pc.dictionary_encode(keys))
-            lut = np.array(
-                [zlib.crc32(str(v).encode()) % num_buckets for v in enc.dictionary.to_pylist()],
-                dtype=np.int32,
-            )
-            b = lut[enc.indices.to_numpy(zero_copy_only=False)] if len(lut) else np.empty(0, np.int32)
+        b = bucket_ids(keys, num_buckets)
         return batch.append_column("__bucket", pa.array(b, pa.int32()))
 
     def first_per_key(group: pa.Table) -> pa.Table:
@@ -149,7 +126,6 @@ def exact_dedup(
     num_buckets: int = 64,
 ) -> rd.Dataset:
     """Exact dedup on md5(text): one survivor (min id) per distinct text."""
-    import hashlib
 
     def add_md5(b: pa.Table) -> pa.Table:
         # md5 once per DISTINCT text per batch: on dup-heavy corpora
@@ -391,10 +367,8 @@ def _dup_ids_from_buckets(
     confirmed group always survives.  Returns distinct dup ids."""
 
     def add_bucket(batch: pa.Table) -> pa.Table:
-        keys = batch.column(key_col).to_numpy(zero_copy_only=False).astype(np.int64)
-        return batch.append_column(
-            "__bucket", pa.array(_crc_bucket_i64(keys, num_buckets), pa.int32())
-        )
+        bk = bucket_ids(batch.column(key_col), num_buckets)
+        return batch.append_column("__bucket", pa.array(bk, pa.int32()))
 
     def find_dups(group: pa.Table) -> pa.Table:
         t = group.drop_columns(["__bucket"]).sort_by(
@@ -435,274 +409,6 @@ def _dup_ids_from_buckets(
     return deduped
 
 
-def anti_join_ids(
-    ds: rd.Dataset,
-    dup_ids: rd.Dataset,
-    id_col: str,
-    strategy: str = "auto",
-    num_buckets: int = 64,
-    broadcast_byte_cap: int = 256 << 20,
-) -> rd.Dataset:
-    """Drop corpus rows whose id appears in ``dup_ids``.
-
-    ``Dataset.join(join_type="left_anti")`` is unusable here: Ray
-    2.49's hash-join aggregator builds schema-less empty tables for
-    partitions that receive no right-side rows, and pyarrow then fails
-    with "No match for FieldRef" — any sparse dup set crashes.  Our own
-    strategies instead:
-
-    - ``broadcast``: stream the dup-id column to the driver
-      (compact Arrow array — ids only, never payloads), ``ray.put`` it
-      once, and filter every batch with a vectorized ``is_in``.  No
-      corpus shuffle at all.  Right choice while the dup-id set fits in
-      memory (billions of int64 ids = GBs) — i.e. almost always.
-    - ``shuffle``: for dup sets too large to broadcast — null-pad the
-      dup ids to the corpus schema, union, hash-bucket by id, and filter
-      inside each bucket group.  One corpus-wide shuffle, same movement
-      a hash join would cost, but robust to empty partitions.
-    - ``bloom``: the 100 TB middle path — build a FIXED-size (16 MB
-      default) bloom bitmap over the dup ids (distributed, tree-OR
-      combine), broadcast it once, and let every corpus batch probe it
-      vectorized.  No false negatives, so bloom MISSES are definitely
-      not dups and pass straight through with NO shuffle; only the hit
-      subset (true dups + the small false-positive tail) runs the
-      exact bucketed anti-join.  The corpus scans twice (miss branch +
-      hit branch share lineage), which at scale is the right trade:
-      scans are cheap and column-pruned, the all-to-all isn't.  Result
-      is EXACT — the bloom only routes, the bucketed join decides.
-    - ``auto`` (default): stream dup ids as for broadcast, but stop at
-      ``broadcast_byte_cap`` accumulated Arrow bytes and switch to the
-      bloom plan — the caller never has to know the dup-set size up
-      front.  (The switch re-executes the dup-id plan; ids are sketch-
-      sized next to the corpus, so the recompute is cheap relative to
-      the shuffle it gates.)
-    """
-    import ray
-
-    if strategy in ("broadcast", "auto"):
-        cap = broadcast_byte_cap if strategy == "auto" else None
-        chunks = []
-        nbytes = 0
-        for b in dup_ids.iter_batches(batch_format="pyarrow", batch_size=65536):
-            if id_col in b.column_names and b.num_rows:
-                arr = _single_chunk(b.column(id_col))
-                chunks.append(arr)
-                nbytes += arr.nbytes
-                if cap is not None and nbytes > cap:
-                    import logging
-
-                    logging.getLogger(__name__).info(
-                        "anti_join_ids[auto]: dup-id stream exceeded %d bytes; "
-                        "switching to bloom-routed bucketed shuffle",
-                        cap,
-                    )
-                    return anti_join_ids(
-                        ds, dup_ids, id_col, "bloom", num_buckets
-                    )
-        dup_arr = (
-            pa.concat_arrays(chunks)
-            if chunks
-            else pa.array([], ds.schema().base_schema.field(id_col).type)
-        )
-        if len(dup_arr) == 0:
-            return ds
-        ref = ray.put(dup_arr)
-
-        def filt(batch: pa.Table) -> pa.Table:
-            dup = ray.get(ref)
-            # fill_null(True): a null id yields a null is_in result, and
-            # Table.filter drops null-mask rows — null-id corpus rows
-            # must pass through unchanged, not silently vanish.
-            mask = pc.fill_null(
-                pc.invert(pc.is_in(batch.column(id_col), value_set=dup)), True
-            )
-            return batch.filter(mask)
-
-        return ds.map_batches(filt, batch_format="pyarrow")
-
-    if strategy == "bloom":
-        bloom = build_bloom(dup_ids, id_col)
-        m_bits = len(bloom) << 6
-        bloom_ref = ray.put(bloom)
-
-        def probe_mask(batch: pa.Table) -> np.ndarray:
-            """True where the bloom reports a possible dup.  Null ids
-            hash like '' but are forced to MISS so they pass through
-            the no-shuffle branch (anti-join never drops null ids)."""
-            words = ray.get(bloom_ref)
-            ids = _single_chunk(batch.column(id_col))
-            h1, h2 = _bloom_h12(ids)
-            w, bit = _bloom_word_bit(h1, h2, 7, m_bits)
-            hit_all = (
-                (words[w] & bit) != 0
-            ).reshape(batch.num_rows, -1).all(axis=1)
-            nulls = pc.is_null(ids).to_numpy(zero_copy_only=False)
-            return hit_all & ~nulls
-
-        def keep_misses(batch: pa.Table) -> pa.Table:
-            if batch.num_rows == 0:
-                return batch
-            return batch.filter(pa.array(~probe_mask(batch)))
-
-        def keep_hits(batch: pa.Table) -> pa.Table:
-            if batch.num_rows == 0:
-                return batch
-            return batch.filter(pa.array(probe_mask(batch)))
-
-        misses = ds.map_batches(keep_misses, batch_format="pyarrow")
-        candidates = ds.map_batches(keep_hits, batch_format="pyarrow")
-        checked = anti_join_ids(
-            candidates, dup_ids, id_col, "shuffle", num_buckets
-        )
-        return misses.union(checked)
-
-    if strategy != "shuffle":
-        raise ValueError(f"unknown anti-join strategy {strategy!r}")
-
-    schema = ds.schema().base_schema
-
-    def tag_left(b: pa.Table) -> pa.Table:
-        return b.append_column("__dup", pa.array(np.zeros(b.num_rows, np.int8)))
-
-    def pad_right(b: pa.Table) -> pa.Table:
-        n = b.num_rows if id_col in b.column_names else 0
-        cols = {}
-        for f in schema:
-            if f.name == id_col and n:
-                cols[f.name] = pc.cast(_single_chunk(b.column(id_col)), f.type)
-            else:
-                cols[f.name] = pa.nulls(n, f.type)
-        t = pa.table(cols)
-        return t.append_column("__dup", pa.array(np.ones(n, np.int8)))
-
-    both = ds.map_batches(tag_left, batch_format="pyarrow").union(
-        dup_ids.map_batches(pad_right, batch_format="pyarrow")
-    )
-
-    def add_bucket(batch: pa.Table) -> pa.Table:
-        keys = batch.column(id_col)
-        if pa.types.is_integer(keys.type):
-            bk = _crc_bucket_i64(
-                keys.to_numpy(zero_copy_only=False).astype(np.int64), num_buckets
-            )
-        else:
-            bk = np.array(
-                [zlib.crc32(str(v).encode()) % num_buckets for v in keys.to_pylist()],
-                dtype=np.int32,
-            )
-        return batch.append_column("__bucket", pa.array(bk, pa.int32()))
-
-    def filter_group(group: pa.Table) -> pa.Table:
-        t = group.drop_columns(["__bucket"])
-        is_dup = pc.equal(t.column("__dup"), 1)
-        dup_set = t.filter(is_dup).column(id_col)
-        keep = t.filter(pc.invert(is_dup))
-        if len(dup_set):
-            # fill_null(True): null-id rows pass through (see broadcast
-            # branch).
-            keep = keep.filter(
-                pc.fill_null(
-                    pc.invert(
-                        pc.is_in(keep.column(id_col), value_set=_single_chunk(dup_set))
-                    ),
-                    True,
-                )
-            )
-        return keep.drop_columns(["__dup"])
-
-    return (
-        both.map_batches(add_bucket, batch_format="pyarrow")
-        .repartition(min(num_buckets, 32))
-        .groupby("__bucket", num_partitions=min(num_buckets, 32))
-        .map_groups(filter_group, batch_format="pyarrow")
-    )
-
-
-def _bloom_h12(ids: pa.Array) -> tuple[np.ndarray, np.ndarray]:
-    """Two independent uint64 base hashes per id for double-hashed
-    bloom probes (Kirsch-Mitzenmacher: h_i = h1 + i*h2).  Int ids mix
-    vectorized (splitmix-style, two odd constants); other types hash
-    their utf-8 repr with C-level crc32/adler32 — one Python pass per
-    row, probe arithmetic stays numpy.  Null ids hash as the empty
-    string (they are never dropped anyway — see anti_join_ids)."""
-    if pa.types.is_integer(ids.type):
-        k = ids.to_numpy(zero_copy_only=False).astype(np.uint64)
-        with np.errstate(over="ignore"):
-            h1 = k * np.uint64(0x9E3779B97F4A7C15)
-            h1 ^= h1 >> np.uint64(31)
-            h2 = k * np.uint64(0xC2B2AE3D27D4EB4F) + np.uint64(0x165667B19E3779F9)
-            h2 ^= h2 >> np.uint64(29)
-        return h1, h2 | np.uint64(1)
-    enc = [("" if v is None else str(v)).encode() for v in ids.to_pylist()]
-    h1 = np.array([zlib.crc32(s) for s in enc], np.uint64)
-    h2 = np.array([zlib.adler32(s) for s in enc], np.uint64)
-    with np.errstate(over="ignore"):
-        h1 = (h1 * np.uint64(0x9E3779B97F4A7C15)) ^ (h1 >> np.uint64(13))
-        h2 = (h2 * np.uint64(0xC2B2AE3D27D4EB4F)) ^ (h2 >> np.uint64(11))
-    return h1, h2 | np.uint64(1)
-
-
-def _bloom_word_bit(
-    h1: np.ndarray, h2: np.ndarray, k_hashes: int, m_bits: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """(n,) base hashes -> (n*k,) word indices + bit masks."""
-    i = np.arange(k_hashes, dtype=np.uint64)
-    with np.errstate(over="ignore"):
-        pos = (h1[:, None] + i[None, :] * h2[:, None]) % np.uint64(m_bits)
-    pos = pos.ravel()
-    return (pos >> np.uint64(6)).astype(np.int64), np.uint64(1) << (pos & np.uint64(63))
-
-
-def build_bloom(
-    ids_ds: rd.Dataset,
-    id_col: str,
-    m_bits: int = 1 << 27,
-    k_hashes: int = 7,
-    combine_partitions: int = 16,
-) -> np.ndarray:
-    """Distributed bloom build over an id Dataset -> packed uint64
-    bitmap (m_bits/8 bytes, e.g. 16 MB at the default — a FIXED-size
-    broadcast no matter how many ids).  Each block folds its ids into
-    a local bitmap; bitmaps OR-combine in one grouped tree level so
-    the driver ORs ``combine_partitions`` arrays, not one per block."""
-    n_words = m_bits >> 6
-
-    def block_bitmap(b: pa.Table) -> pa.Table:
-        words = np.zeros(n_words, np.uint64)
-        if id_col in b.column_names and b.num_rows:
-            h1, h2 = _bloom_h12(_single_chunk(b.column(id_col)))
-            w, bit = _bloom_word_bit(h1, h2, k_hashes, m_bits)
-            np.bitwise_or.at(words, w, bit)
-        return pa.table(
-            {
-                "__part": pa.array(
-                    [zlib.crc32(words.tobytes()) % combine_partitions], pa.int32()
-                ),
-                "bitmap": pa.array([words.tobytes()], pa.binary()),
-            }
-        )
-
-    def or_group(g: pa.Table) -> pa.Table:
-        acc = np.zeros(n_words, np.uint64)
-        for buf in g.column("bitmap").to_pylist():
-            acc |= np.frombuffer(buf, np.uint64)
-        return pa.table(
-            {"__part": g.column("__part").slice(0, 1),
-             "bitmap": pa.array([acc.tobytes()], pa.binary())}
-        )
-
-    parts = (
-        ids_ds.map_batches(block_bitmap, batch_format="pyarrow")
-        .groupby("__part", num_partitions=combine_partitions)
-        .map_groups(or_group, batch_format="pyarrow")
-        .take_all()
-    )
-    acc = np.zeros(n_words, np.uint64)
-    for row in parts:
-        acc |= np.frombuffer(row["bitmap"], np.uint64)
-    return acc
-
-
 def _sig_matrix(t: pa.Table, col: str) -> np.ndarray:
     arr = _single_chunk(t.column(col))
     k = arr.type.list_size
@@ -725,10 +431,8 @@ def candidate_pairs_from_buckets(
     pair-based clustering (ngram exact verify, connected components)."""
 
     def add_bucket(batch: pa.Table) -> pa.Table:
-        keys = batch.column(key_col).to_numpy(zero_copy_only=False).astype(np.int64)
-        return batch.append_column(
-            "__bucket", pa.array(_crc_bucket_i64(keys, num_buckets), pa.int32())
-        )
+        bk = bucket_ids(batch.column(key_col), num_buckets)
+        return batch.append_column("__bucket", pa.array(bk, pa.int32()))
 
     def pairs_of(group: pa.Table) -> pa.Table:
         t = group.drop_columns(["__bucket"]).sort_by(
@@ -831,7 +535,6 @@ def _components_distributed(
     min_{(x,y) in edges} label(y)) until no label changes.  Every step is
     a bucketed task shuffle over edge/label rows (sketch-sized — never
     the corpus); the driver holds only a per-round changed-count."""
-    from .joins import bucket_lookup_join
 
     def normalize(b: pa.Table) -> pa.Table:
         if b.num_rows == 0 or id_col not in b.column_names:
@@ -882,10 +585,8 @@ def _components_distributed(
         first = np.r_[True, nodes[1:] != nodes[:-1]] if len(nodes) else np.empty(0, bool)
         return t.take(pa.array(np.flatnonzero(first), pa.int64()))
 
-    from .joins import _bucket_of_array
-
     def add_b(b: pa.Table) -> pa.Table:
-        bk = _bucket_of_array(_single_chunk(b.column("node")), num_buckets)
+        bk = bucket_ids(_single_chunk(b.column("node")), num_buckets)
         return b.append_column("__b", pa.array(bk, pa.int32()))
 
     changed = -1
@@ -1006,7 +707,6 @@ def minhash_lsh_dedup(
     bands: int = 16,
     shingle_n: int = 3,
     num_buckets: int = 64,
-    anti_strategy: str = "auto",
     cluster: str = "bucket",  # "bucket" | "components"
 ) -> rd.Dataset:
     """MinHash+LSH near-dup removal: keep one survivor (min id) per
@@ -1033,7 +733,7 @@ def minhash_lsh_dedup(
         dup_ids = _dup_ids_from_buckets(
             band_rows, "band_key", id_col, verify, num_buckets, id_type=id_type
         )
-    return anti_join_ids(ds, dup_ids, id_col, strategy=anti_strategy)
+    return member_filter(ds, dup_ids, id_col, keep=False)
 
 
 def simhash_dedup(
@@ -1042,7 +742,6 @@ def simhash_dedup(
     id_col: str = "doc_id",
     max_hamming: int = 3,
     num_buckets: int = 64,
-    anti_strategy: str = "auto",
 ) -> rd.Dataset:
     """SimHash near-dup removal: 4-block pigeonhole candidates (complete
     for hamming ≤ 3), verified by exact hamming distance."""
@@ -1090,7 +789,7 @@ def simhash_dedup(
     dup_ids = _dup_ids_from_buckets(
         rows, "block_key", id_col, verify, num_buckets, id_type=id_type
     )
-    return anti_join_ids(ds, dup_ids, id_col, strategy=anti_strategy)
+    return member_filter(ds, dup_ids, id_col, keep=False)
 
 
 def ahash_image_dedup(
@@ -1098,7 +797,6 @@ def ahash_image_dedup(
     id_col: str = "media_ref",
     max_hamming: int = 3,
     num_buckets: int = 64,
-    anti_strategy: str = "auto",
 ) -> rd.Dataset:
     """Perceptual-hash image near-dup removal (the multimodal sibling of
     simhash_dedup): each raster row (pixels/width/height/channels)
@@ -1140,7 +838,7 @@ def ahash_image_dedup(
     dup_ids = _dup_ids_from_buckets(
         rows, "block_key", id_col, verify, num_buckets, id_type=id_type
     )
-    return anti_join_ids(ds, dup_ids, id_col, strategy=anti_strategy)
+    return member_filter(ds, dup_ids, id_col, keep=False)
 
 
 def _pair_jaccard(text_a: pa.Array, text_b: pa.Array, shingle_n: int) -> np.ndarray:
@@ -1175,7 +873,6 @@ def ngram_jaccard_dedup(
     shingle_n: int = 3,
     num_buckets: int = 64,
     join_partitions: int = 16,
-    anti_strategy: str = "auto",
 ) -> rd.Dataset:
     """EXACT word n-gram Jaccard dedup.  Candidates come from MinHash
     LSH (cheap, sketch-only shuffle) with a permissive signature screen
@@ -1193,7 +890,6 @@ def ngram_jaccard_dedup(
     pair surfacing from several LSH bands, so no separate pair-dedupe
     shuffle is needed (EXISTS semantics tolerate duplicates; deduping
     just avoids repeated verify work)."""
-    from .joins import _bucket_of_array, bucket_lookup_join
 
     band_rows = minhash_band_rows(ds, text_col, id_col, k=64, bands=16, shingle_n=shingle_n)
     screen = threshold * 0.5
@@ -1252,7 +948,7 @@ def ngram_jaccard_dedup(
                  ("__side", pa.int8()), ("__t", pa.string()),
                  ("__pb", pa.int32())]
             ).empty_table()
-        bk = _bucket_of_array(_single_chunk(b.column("__pid")), num_buckets)
+        bk = bucket_ids(_single_chunk(b.column("__pid")), num_buckets)
         return b.append_column("__pb", pa.array(bk, pa.int32()))
 
     def verify_group(group: pa.Table) -> pa.Table:
@@ -1300,7 +996,7 @@ def ngram_jaccard_dedup(
         .groupby("__pb", num_partitions=min(join_partitions, 16))
         .map_groups(verify_group, batch_format="pyarrow")
     )
-    return anti_join_ids(ds, dup_ids, id_col, strategy=anti_strategy)
+    return member_filter(ds, dup_ids, id_col, keep=False)
 
 
 def embedding_neardup(
@@ -1312,7 +1008,6 @@ def embedding_neardup(
     n_tables: int = 8,
     seed: int = 11,
     num_buckets: int = 64,
-    anti_strategy: str = "auto",
 ) -> rd.Dataset:
     """Embedding-cosine near-dup removal: BANDED random-hyperplane
     sign-LSH (``n_tables`` independent tables of ``planes`` bits each —
@@ -1370,9 +1065,9 @@ def embedding_neardup(
         rows, "plane_key", id_col, verify, num_buckets,
         id_type=ds.schema().base_schema.field(id_col).type,
     )
-    # anti_join_ids (not Dataset.join): nested list payloads and sparse
+    # member_filter (not Dataset.join): nested list payloads and sparse
     # dup sets are both fine — broadcast is_in filter, no corpus shuffle.
-    return anti_join_ids(ds, dup_ids, id_col, strategy=anti_strategy)
+    return member_filter(ds, dup_ids, id_col, keep=False)
 
 
 # ---------------------------------------------------------------------------
@@ -1596,13 +1291,12 @@ def incremental_exact_dedup(
     new_ds: rd.Dataset,
     snapshot_ds: rd.Dataset,
     text_col: str = "text",
-    strategy: str = "auto",
 ) -> rd.Dataset:
     """Ingest-time exact dedup: drop every row of ``new_ds`` whose
     md5(text) already exists in ``snapshot_ds`` (the prior corpus) —
     without re-shuffling the snapshot.  Fingerprints are md5 hex of the
-    text column on both sides; the membership is anti_join_ids'
-    strategy machinery (broadcast / bloom-routed shuffle / auto).
+    text column on both sides; the membership is joins.member_filter
+    (broadcast under the byte cap, bloom-routed bucketed filter past it).
 
     Null texts are kept UNCONDITIONALLY (no fingerprint): SQL's
     ``md5(NULL) IS NULL`` never matches a snapshot key, so hashing
@@ -1625,7 +1319,7 @@ def incremental_exact_dedup(
 
     keyed = new_ds.map_batches(with_key, batch_format="pyarrow")
     snap_keys = snapshot_ds.map_batches(key_only, batch_format="pyarrow")
-    kept = anti_join_ids(keyed, snap_keys, "__k", strategy=strategy)
+    kept = member_filter(keyed, snap_keys, "__k", keep=False)
     return kept.map_batches(
         lambda b: b.drop_columns(["__k"]), batch_format="pyarrow"
     )
@@ -1641,7 +1335,6 @@ def incremental_minhash_dedup(
     bands: int = 16,
     shingle_n: int = 3,
     num_buckets: int = 64,
-    anti_strategy: str = "auto",
 ) -> rd.Dataset:
     """Ingest-time NEAR-dup dedup: drop every row of ``new_ds`` whose
     MinHash signature-Jaccard vs some ``snapshot_ds`` row is ≥
@@ -1659,8 +1352,8 @@ def incremental_minhash_dedup(
     Scale shape: only (2·id±1, band_key, uint32 sig) sketch rows
     shuffle — the snapshot's TEXT never moves, and the snapshot sketch
     could be a precomputed on-disk table in a real ingest loop.  The
-    final membership filter is anti_join_ids' auto strategy (broadcast
-    under the byte cap, bloom-routed bucketed shuffle beyond)."""
+    final membership filter is joins.member_filter (broadcast under
+    the byte cap, bloom-routed bucketed filter beyond)."""
 
     def tag(parity: int):
         def add(b: pa.Table) -> pa.Table:
@@ -1699,7 +1392,7 @@ def incremental_minhash_dedup(
         return pa.table({id_col: pa.array(orig, pa.int64())})
 
     removed = pairs.map_batches(new_member, batch_format="pyarrow")
-    return anti_join_ids(new_ds, removed, id_col, strategy=anti_strategy)
+    return member_filter(new_ds, removed, id_col, keep=False)
 
 
 def exact_substring_dedup(

@@ -21,7 +21,11 @@ Ray-Data-first shape:
   any CPU budget;
 - reassembly is the single wide shuffle, on a crc32 doc_id bucket key
   (stages/reassemble.py), which doubles as the resume partition
-  (stages/manifest.py).
+  (stages/manifest.py);
+- every bucket id comes from one function (``arrow_util.bucket_ids``),
+  and a resume prunes completed buckets before any work: span rows at
+  the explode, media pages by a semi-join on the still-needed refs
+  (``joins.member_filter``), so the OCR stage never sees them.
 """
 
 from __future__ import annotations
@@ -30,7 +34,6 @@ import hashlib
 import math
 import os
 import time
-import zlib
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -40,8 +43,7 @@ import ray
 import ray.data as rd
 
 from .. import MODEL_VERSION
-from ..functions.arrow_util import single_chunk
-from ..schema import DOCUMENTS_SCHEMA
+from ..functions.arrow_util import bucket_ids, single_chunk
 from ..sources import read_documents, read_media
 from ..stages.explode import explode_spans
 from ..stages.manifest import (
@@ -54,6 +56,7 @@ from ..stages.manifest import (
 from ..stages.ocr_actor import OcrActor
 from ..stages.reassemble import add_bucket_column, stitch_bucket
 from ..state.glyph_model import GlyphModel
+from .joins import member_filter
 
 
 @dataclass
@@ -69,15 +72,6 @@ class ExtractConfig:
     # to ~0.5-1x the CPU count; raise with corpus size so blocks stay
     # under the worker heap (rows here are small text structs).
     coalesce_partitions: int = 16
-    # Resume: media pages of completed buckets are pruned BEFORE the OCR
-    # stage via a broadcast set of still-needed media_refs, bounded by
-    # this cap (a near-complete resume has few refs).  An early-crash
-    # resume exceeding the cap switches to a bucketed SEMI join of the
-    # media table against the needed-ref stream — same pruning, one
-    # extra shuffle of the (not-yet-OCR'd) media payloads, no driver
-    # set, no re-OCR of completed buckets.
-    max_resume_refs: int = 5_000_000
-    emit_boxes: bool = False
     # Dead-letter policy for the OCR stage: "quarantine" (default — a
     # malformed payload poisons one row, lands in the bucket's
     # quarantine file, and the 100-TB run keeps going) or "raise" (the
@@ -111,49 +105,20 @@ def ocr_pool(concurrency: int | None = None, cpus: float | None = None) -> tuple
     return conc, min(0.5, math.floor((cpus - 1) * 10_000 / conc) / 10_000)
 
 
-def ocr_media(
-    media_path: str,
-    cfg: ExtractConfig,
-    emit_boxes: bool | None = None,
-    ref_filter=None,
-    ref_filter_ds: rd.Dataset | None = None,
-) -> rd.Dataset:
+def ocr_media(media_path: str, cfg: ExtractConfig, emit_boxes: bool = False) -> rd.Dataset:
     """media table -> per-page OCR results (the ``MapBatches(OcrActor)``
-    task stage).
+    task stage)."""
+    return _ocr(read_media(media_path), cfg, emit_boxes)
 
-    ``ref_filter``: optional ``ray.ObjectRef`` of a pa.Array of
-    media_refs still needed (resume pruning) — rows outside it never
-    reach the recognition pool.  ``ref_filter_ds``: the same pruning as
-    a DATASET of needed refs, applied via a bucketed semi join (one
-    shuffle of the media table) — the scale path when the ref set is
-    too large to broadcast."""
-    media = read_media(media_path)
-    if ref_filter is not None:
-        def keep_needed(b: pa.Table) -> pa.Table:
-            return b.filter(
-                pc.is_in(b.column("media_ref"), value_set=ray.get(ref_filter))
-            )
 
-        media = media.map_batches(keep_needed, batch_format="pyarrow")
-    elif ref_filter_ds is not None:
-        from .joins import bucket_semi_filter
-
-        media = bucket_semi_filter(
-            media, ref_filter_ds, "media_ref",
-            num_buckets=cfg.join_partitions * 4,
-            num_partitions=cfg.join_partitions,
-        )
+def _ocr(media: rd.Dataset, cfg: ExtractConfig, emit_boxes: bool) -> rd.Dataset:
     concurrency, num_cpus = ocr_pool(cfg.ocr_concurrency)
     # A callable INSTANCE makes task compute: no actor starts or dies
     # per execution, and Ray's pooled task workers stay warm across
     # runs.  The model is 333 bytes and the loaded instance pickles to
     # about 3 KB, so shipping it with each task is cheap.
     return media.map_batches(
-        OcrActor(
-            model_blob=cfg.model_blob,
-            emit_boxes=cfg.emit_boxes if emit_boxes is None else emit_boxes,
-            on_error=cfg.on_error,
-        ),
+        OcrActor(model_blob=cfg.model_blob, emit_boxes=emit_boxes, on_error=cfg.on_error),
         batch_format="pyarrow",
         zero_copy_batch=True,
         batch_size=cfg.ocr_batch_size,
@@ -177,6 +142,15 @@ def _span_rows(
     through (spread by crc32(doc_id) so no bucket hotspots).  Branching
     the explode into two consumers would duplicate the whole
     read+explode subplan in Ray's plan (measured: 2x the docs scan).
+
+    Resume (``skip_buckets``): span rows of completed buckets drop at
+    the explode (``prune_done``), and the media table is semi-joined
+    against the still-needed media_refs (``joins.member_filter``) so
+    completed buckets' pages never reach the OCR stage.  The needed-ref
+    probe is a lazy plan over the docs table: a near-complete resume
+    broadcasts its few refs, an early-crash resume past the byte cap
+    prunes through the bloom-routed bucketed filter — no driver set, no
+    re-OCR of completed buckets.
     """
     num_buckets = cfg.join_partitions * 4
 
@@ -186,17 +160,8 @@ def _span_rows(
         expensive work, not just the final write)."""
         if not skip_buckets:
             return rows
-        enc = single_chunk(pc.dictionary_encode(rows.column("doc_id").combine_chunks()))
-        keep_lut = np.array(
-            [
-                zlib.crc32(v.encode()) % cfg.num_buckets not in skip_buckets
-                for v in enc.dictionary.to_pylist()
-            ],
-            dtype=bool,
-        )
-        codes = enc.indices.to_numpy(zero_copy_only=False)
-        keep = keep_lut[codes] if len(keep_lut) else np.empty(0, dtype=bool)
-        return rows.filter(pa.array(keep))
+        done = np.isin(bucket_ids(rows.column("doc_id"), cfg.num_buckets), list(skip_buckets))
+        return rows.filter(pa.array(~done))
 
     def explode_and_strip(batch: pa.Table) -> pa.Table:
         rows = prune_done(explode_spans(batch))
@@ -222,25 +187,14 @@ def _span_rows(
         keys = pc.if_else(
             pa.array(is_text), rows.column("doc_id"), rows.column("media_ref")
         )
-        enc = single_chunk(pc.dictionary_encode(keys.combine_chunks()))
-        lut = np.array(
-            [zlib.crc32(str(v).encode()) % num_buckets for v in enc.dictionary.to_pylist()],
-            dtype=np.int32,
-        )
-        codes = enc.indices.to_numpy(zero_copy_only=False)
-        bk = lut[codes] if len(lut) else np.empty(0, np.int32)
+        bk = bucket_ids(keys, num_buckets)
         # dead-letter column: spans start clean; OCR failures arrive via
         # the co-bucketed __ocr rows (pad_ocr) and gather in fill_text
         rows = rows.append_column("error", pa.nulls(rows.num_rows, pa.string()))
         return rows.append_column("__jb", pa.array(bk, pa.int32()))
 
     def pad_ocr(batch: pa.Table) -> pa.Table:
-        refs = batch.column("media_ref").to_pylist()
-        bk = np.fromiter(
-            (zlib.crc32(r.encode()) % num_buckets for r in refs),
-            dtype=np.int32,
-            count=len(refs),
-        )
+        bk = bucket_ids(batch.column("media_ref"), num_buckets)
         return pa.table(
             {
                 "doc_id": pa.array([""] * batch.num_rows, pa.string()),
@@ -294,42 +248,17 @@ def _span_rows(
         explode_and_strip, batch_format="pyarrow", zero_copy_batch=True
     )
 
-    ref_filter = None
-    ref_filter_ds = None
+    media = read_media(media_path)
     if skip_buckets:
-        # Collect the still-needed media_refs (one lightweight pass over
-        # the docs table — cheap next to the OCR it saves) and broadcast
-        # them so completed buckets' pages never reach the pool.
-        refs: set[str] = set()
-        def probe_refs(b: pa.Table) -> pa.Table:
+        def needed_refs(b: pa.Table) -> pa.Table:
             rows = prune_done(explode_spans(b))
             return rows.filter(pc.equal(rows.column("kind"), "media_ref")).select(
                 ["media_ref"]
             )
 
-        probe = docs.map_batches(probe_refs, batch_format="pyarrow")
-        too_many = False
-        for b in probe.iter_batches(batch_format="pyarrow", batch_size=65536):
-            refs.update(b["media_ref"].to_pylist())
-            if len(refs) > cfg.max_resume_refs:
-                too_many = True
-                break
-        if not too_many:
-            ref_filter = ray.put(pa.array(sorted(refs), pa.string()))
-        else:
-            # Scale path (early-crash resume on a huge corpus): the
-            # needed-ref set exceeds the broadcast cap, so prune via a
-            # bucketed SEMI join — media payloads shuffle once against
-            # the sketch-sized needed-ref stream instead of the whole
-            # completed portion re-paying the OCR pool.  ``probe`` is a
-            # lazy plan; re-executing it re-reads the (pruned) docs
-            # table, which is cheap next to recognition.
-            ref_filter_ds = probe
-
-    ocr_rows = ocr_media(
-        media_path, cfg, emit_boxes=False, ref_filter=ref_filter,
-        ref_filter_ds=ref_filter_ds,
-    ).map_batches(
+        needed = docs.map_batches(needed_refs, batch_format="pyarrow")
+        media = member_filter(media, needed, "media_ref", keep=True)
+    ocr_rows = _ocr(media, cfg, emit_boxes=False).map_batches(
         lambda b: pad_ocr(b.select(["media_ref", "text", "error"])),
         batch_format="pyarrow",
     )
@@ -401,14 +330,6 @@ def run_extract(
 
     os.makedirs(out_dir, exist_ok=True)
     fp = config_fingerprint(cfg.fingerprint_dict())
-    if done:
-        # Safety net on top of the upstream pruning (prune_done filters
-        # at the explode; this catches any row that slipped through).
-        skip = pa.array(sorted(done), pa.int32())
-        bucketed = bucketed.map_batches(
-            lambda b: b.filter(pc.invert(pc.is_in(b.column("bucket"), value_set=skip))),
-            batch_format="pyarrow",
-        )
     input_files = sorted(
         [docs_path, media_path]
     )  # at Lance scale: fragment ids / file lists per bucket

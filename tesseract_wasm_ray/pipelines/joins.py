@@ -1,18 +1,27 @@
-"""Bucketed task-shuffle joins (no driver state, no aggregator actors).
+"""Joins and membership filters without driver-side payloads or
+aggregator actors.
 
 Ray 2.49's ``Dataset.join`` hash-join aggregator crashes on sparse /
-empty partitions (see dedup.anti_join_ids), and long-lived aggregator
-actors compose badly with actor-pool stages on small CPU budgets.  The
-engine therefore joins with its own primitive: union both sides tagged,
-hash-bucket on a crc32-stable key, resolve per bucket group with
-vectorized dictionary lookups.  Partitions are deterministic across
-processes (crc32 / Fibonacci-mix bucketing), so re-runs and resumes see
-identical groups.
+empty partitions (it builds schema-less empty tables, and pyarrow then
+fails with "No match for FieldRef"), and long-lived aggregator actors
+compose badly with fixed-size task stages on small CPU budgets.  The
+engine therefore joins with its own primitives, which share one size
+policy: stream the small side's key columns to the driver up to
+``BROADCAST_BYTE_CAP`` Arrow bytes (``_collect_capped``) and broadcast
+them; past the cap, union both sides tagged, hash-bucket them on
+``bucket_ids`` and resolve each bucket group with vectorized lookups.
+Buckets are process-stable (crc32 / Fibonacci mix), so re-runs and
+resumes see identical groups.
 
-``bucket_lookup_join`` is a LEFT lookup join: every left row comes back
-exactly once, with ``out_col`` filled from the right side's ``value_col``
-(null when the key has no right row; ties broken by minimum value so the
-result is deterministic under duplicate right keys).
+- ``member_filter`` keeps (semi-join) or drops (anti-join) the rows
+  whose key appears in a key Dataset: dedup's dup-id removal, the
+  incremental snapshot filter and the flagship's resume pruning.
+- ``bucket_lookup_join`` is a LEFT lookup join: every left row comes
+  back exactly once, with ``out_col`` filled from the right side's
+  ``value_col`` (null when the key has no right row; ties broken by
+  minimum value so the result is deterministic under duplicate right
+  keys).  ``lookup_join_auto`` broadcasts the right side instead while
+  it fits under the cap.
 """
 
 from __future__ import annotations
@@ -22,26 +31,241 @@ import zlib
 import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
+import ray
 import ray.data as rd
 
+from ..functions.arrow_util import bucket_ids
 from ..functions.arrow_util import single_chunk as _single_chunk
 
+# Driver-side budget for a broadcast key side (accumulated Arrow bytes).
+BROADCAST_BYTE_CAP = 256 << 20
 
-def _bucket_of_array(keys: pa.Array, num_buckets: int) -> np.ndarray:
-    """Stable bucket ids for a key array (int: Fibonacci mix, str: crc32
-    over the dictionary — one Python hash per DISTINCT key)."""
-    if pa.types.is_integer(keys.type):
-        k = keys.to_numpy(zero_copy_only=False).astype(np.int64)
-        with np.errstate(over="ignore"):
-            mixed = (k.astype(np.uint64) * np.uint64(0x9E3779B97F4A7C15)) >> np.uint64(40)
-        return (mixed % np.uint64(num_buckets)).astype(np.int32)
-    enc = _single_chunk(pc.dictionary_encode(keys))
-    lut = np.array(
-        [zlib.crc32(str(v).encode()) % num_buckets for v in enc.dictionary.to_pylist()],
-        dtype=np.int32,
+
+def _collect_capped(ds: rd.Dataset, cols: list[str]) -> list[pa.Table] | None:
+    """Stream ``cols`` of ``ds`` to the driver -> the non-empty batches,
+    or None once they pass ``BROADCAST_BYTE_CAP`` (the caller then
+    re-plans as a shuffle; the key side is small next to the data it
+    filters, so re-executing its plan is cheap).  Projection runs in the
+    workers; empty blocks may arrive schema-less and are skipped."""
+    proj = ds.map_batches(
+        lambda b: b.select(cols) if b.num_rows else b.slice(0, 0),
+        batch_format="pyarrow",
     )
-    codes = enc.indices.to_numpy(zero_copy_only=False)
-    return lut[codes] if len(lut) else np.empty(0, np.int32)
+    tbls: list[pa.Table] = []
+    total = 0
+    for b in proj.iter_batches(batch_format="pyarrow", batch_size=65536):
+        if b.num_rows == 0:
+            continue
+        tbls.append(b)
+        total += b.nbytes
+        if total > BROADCAST_BYTE_CAP:
+            return None
+    return tbls
+
+
+# ---------------------------------------------------------------------------
+# bloom routing (the over-cap membership path)
+# ---------------------------------------------------------------------------
+
+
+def _bloom_h12(ids: pa.Array) -> tuple[np.ndarray, np.ndarray]:
+    """Two independent uint64 base hashes per id for double-hashed
+    bloom probes (Kirsch-Mitzenmacher: h_i = h1 + i*h2).  Int ids mix
+    vectorized (splitmix-style, two odd constants); other types hash
+    their utf-8 repr with C-level crc32/adler32 — one Python pass per
+    row, probe arithmetic stays numpy.  Null ids hash as the empty
+    string (member_filter forces them to miss)."""
+    if pa.types.is_integer(ids.type):
+        k = ids.to_numpy(zero_copy_only=False).astype(np.uint64)
+        with np.errstate(over="ignore"):
+            h1 = k * np.uint64(0x9E3779B97F4A7C15)
+            h1 ^= h1 >> np.uint64(31)
+            h2 = k * np.uint64(0xC2B2AE3D27D4EB4F) + np.uint64(0x165667B19E3779F9)
+            h2 ^= h2 >> np.uint64(29)
+        return h1, h2 | np.uint64(1)
+    enc = [("" if v is None else str(v)).encode() for v in ids.to_pylist()]
+    h1 = np.array([zlib.crc32(s) for s in enc], np.uint64)
+    h2 = np.array([zlib.adler32(s) for s in enc], np.uint64)
+    with np.errstate(over="ignore"):
+        h1 = (h1 * np.uint64(0x9E3779B97F4A7C15)) ^ (h1 >> np.uint64(13))
+        h2 = (h2 * np.uint64(0xC2B2AE3D27D4EB4F)) ^ (h2 >> np.uint64(11))
+    return h1, h2 | np.uint64(1)
+
+
+def _bloom_word_bit(
+    h1: np.ndarray, h2: np.ndarray, k_hashes: int, m_bits: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """(n,) base hashes -> (n*k,) word indices + bit masks."""
+    i = np.arange(k_hashes, dtype=np.uint64)
+    with np.errstate(over="ignore"):
+        pos = (h1[:, None] + i[None, :] * h2[:, None]) % np.uint64(m_bits)
+    pos = pos.ravel()
+    return (pos >> np.uint64(6)).astype(np.int64), np.uint64(1) << (pos & np.uint64(63))
+
+
+def build_bloom(
+    ids_ds: rd.Dataset,
+    id_col: str,
+    m_bits: int = 1 << 27,
+    k_hashes: int = 7,
+    combine_partitions: int = 16,
+) -> np.ndarray:
+    """Distributed bloom build over an id Dataset -> packed uint64
+    bitmap (m_bits/8 bytes, e.g. 16 MB at the default — a FIXED-size
+    broadcast no matter how many ids).  Each block folds its ids into
+    a local bitmap; bitmaps OR-combine in one grouped tree level so
+    the driver ORs ``combine_partitions`` arrays, not one per block."""
+    n_words = m_bits >> 6
+
+    def block_bitmap(b: pa.Table) -> pa.Table:
+        words = np.zeros(n_words, np.uint64)
+        if id_col in b.column_names and b.num_rows:
+            h1, h2 = _bloom_h12(_single_chunk(b.column(id_col)))
+            w, bit = _bloom_word_bit(h1, h2, k_hashes, m_bits)
+            np.bitwise_or.at(words, w, bit)
+        return pa.table(
+            {
+                "__part": pa.array(
+                    [zlib.crc32(words.tobytes()) % combine_partitions], pa.int32()
+                ),
+                "bitmap": pa.array([words.tobytes()], pa.binary()),
+            }
+        )
+
+    def or_group(g: pa.Table) -> pa.Table:
+        acc = np.zeros(n_words, np.uint64)
+        for buf in g.column("bitmap").to_pylist():
+            acc |= np.frombuffer(buf, np.uint64)
+        return pa.table(
+            {"__part": g.column("__part").slice(0, 1),
+             "bitmap": pa.array([acc.tobytes()], pa.binary())}
+        )
+
+    parts = (
+        ids_ds.map_batches(block_bitmap, batch_format="pyarrow")
+        .groupby("__part", num_partitions=combine_partitions)
+        .map_groups(or_group, batch_format="pyarrow")
+        .take_all()
+    )
+    acc = np.zeros(n_words, np.uint64)
+    for row in parts:
+        acc |= np.frombuffer(row["bitmap"], np.uint64)
+    return acc
+
+
+# ---------------------------------------------------------------------------
+# membership: semi / anti join as a filter
+# ---------------------------------------------------------------------------
+
+
+def member_filter(
+    ds: rd.Dataset, keys: rd.Dataset, key_col: str, keep: bool
+) -> rd.Dataset:
+    """Keep (``keep=True``, semi-join) or drop (``keep=False``,
+    anti-join) the rows of ``ds`` whose ``key_col`` value appears in
+    ``keys`` (a Dataset carrying ``key_col``; duplicates fine).  A null
+    key never matches: anti keeps the row, semi drops it.
+
+    - Under ``BROADCAST_BYTE_CAP`` the key column is ``ray.put`` once
+      and every batch filters with a vectorized ``is_in`` — no shuffle.
+    - Over the cap, a fixed 16 MB bloom over the keys (``build_bloom``)
+      routes: it has no false negatives, so bloom misses pass (anti) or
+      drop (semi) with NO shuffle, and only the hits (true members plus
+      the false-positive tail) go through the exact bucketed filter.
+      ``ds`` then scans twice for anti (miss and hit branches share
+      lineage), which at scale beats moving it through an all-to-all.
+    """
+    tbls = _collect_capped(keys, [key_col])
+    if tbls is not None:
+        arrs = [pc.drop_null(_single_chunk(t.column(key_col))) for t in tbls]
+        if not any(len(a) for a in arrs):
+            if keep:
+                return rd.from_arrow(ds.schema().base_schema.empty_table())
+            return ds
+        ref = ray.put(pa.concat_arrays(arrs))
+
+        def filt(b: pa.Table) -> pa.Table:
+            if b.num_rows == 0:
+                return b
+            hit = pc.is_in(b.column(key_col), value_set=ray.get(ref))
+            return b.filter(hit if keep else pc.invert(hit))
+
+        return ds.map_batches(filt, batch_format="pyarrow")
+
+    schema = ds.schema().base_schema
+    bloom = build_bloom(keys, key_col)
+    m_bits = len(bloom) << 6
+    bloom_ref = ray.put(bloom)
+
+    def bloom_hit(b: pa.Table) -> pa.Array:
+        words = ray.get(bloom_ref)
+        ids = _single_chunk(b.column(key_col))
+        w, bit = _bloom_word_bit(*_bloom_h12(ids), 7, m_bits)
+        hit = ((words[w] & bit) != 0).reshape(b.num_rows, -1).all(axis=1)
+        return pa.array(hit & pc.is_valid(ids).to_numpy(zero_copy_only=False))
+
+    hits = ds.map_batches(
+        lambda b: b.filter(bloom_hit(b)) if b.num_rows else b,
+        batch_format="pyarrow",
+    )
+    checked = _bucket_member(hits, keys, key_col, keep, schema)
+    if keep:
+        return checked
+    misses = ds.map_batches(
+        lambda b: b.filter(pc.invert(bloom_hit(b))) if b.num_rows else b,
+        batch_format="pyarrow",
+    )
+    return misses.union(checked)
+
+
+def _bucket_member(
+    ds: rd.Dataset, keys: rd.Dataset, key_col: str, keep: bool, schema: pa.Schema
+) -> rd.Dataset:
+    """Exact membership by one shuffle: key rows null-padded to
+    ``schema``, unioned with ``ds``, bucketed on ``bucket_ids`` and
+    resolved per bucket group with ``is_in``.  ``ds`` must carry no
+    null keys (member_filter routes them around this).  Robust to Ray
+    2.49's schema-less empty partitions."""
+    num_buckets = 64
+    key_type = schema.field(key_col).type
+
+    def tag_rows(b: pa.Table) -> pa.Table:
+        return b.append_column("__m", pa.array(np.zeros(b.num_rows, np.int8)))
+
+    def pad_keys(b: pa.Table) -> pa.Table:
+        k = (
+            pc.drop_null(pc.cast(_single_chunk(b.column(key_col)), key_type))
+            if b.num_rows and key_col in b.column_names
+            else pa.array([], key_type)
+        )
+        cols = {f.name: k if f.name == key_col else pa.nulls(len(k), f.type) for f in schema}
+        return pa.table(cols, schema=schema).append_column(
+            "__m", pa.array(np.ones(len(k), np.int8))
+        )
+
+    def add_bucket(b: pa.Table) -> pa.Table:
+        bk = bucket_ids(b.column(key_col), num_buckets)
+        return b.append_column("__mb", pa.array(bk, pa.int32()))
+
+    def filter_group(group: pa.Table) -> pa.Table:
+        if group.num_rows == 0 or "__m" not in group.column_names:
+            return schema.empty_table()
+        is_key = pc.equal(group.column("__m"), 1)
+        rows = group.filter(pc.invert(is_key)).drop_columns(["__m", "__mb"])
+        hit = pc.is_in(
+            rows.column(key_col),
+            value_set=_single_chunk(group.filter(is_key).column(key_col)),
+        )
+        return rows.filter(hit if keep else pc.invert(hit))
+
+    return (
+        ds.map_batches(tag_rows, batch_format="pyarrow")
+        .union(keys.map_batches(pad_keys, batch_format="pyarrow"))
+        .map_batches(add_bucket, batch_format="pyarrow")
+        .repartition(16)
+        .groupby("__mb", num_partitions=32)
+        .map_groups(filter_group, batch_format="pyarrow")
+    )
 
 
 def bucket_lookup_join(
@@ -77,7 +301,7 @@ def bucket_lookup_join(
 
     def tag_left(b: pa.Table) -> pa.Table:
         k = pc.cast(_single_chunk(b.column(left_key)), key_type)
-        bk = _bucket_of_array(k, num_buckets)
+        bk = bucket_ids(k, num_buckets)
         return (
             b.append_column("__k", k)
             .append_column("__v", pa.nulls(b.num_rows, value_type))
@@ -87,7 +311,7 @@ def bucket_lookup_join(
 
     def tag_right(b: pa.Table) -> pa.Table:
         k = pc.cast(_single_chunk(b.column(right_key)), key_type)
-        bk = _bucket_of_array(k, num_buckets)
+        bk = bucket_ids(k, num_buckets)
         cols = {name: pa.nulls(b.num_rows, left_schema.field(name).type) for name in left_names}
         t = pa.table(cols)
         return (
@@ -155,69 +379,6 @@ def bucket_lookup_join(
     )
 
 
-def bucket_semi_filter(
-    ds: rd.Dataset,
-    keys: rd.Dataset,
-    key_col: str,
-    num_buckets: int = 64,
-    num_partitions: int = 16,
-) -> rd.Dataset:
-    """SEMI join as a filter: keep ``ds`` rows whose ``key_col`` value
-    appears in ``keys`` (a Dataset carrying ``key_col``; duplicates
-    fine).  Both sides shuffle ONCE on the key hash — payload rows move
-    exactly once, the key side is sketch-sized — so this scales where a
-    driver-collected broadcast set does not.  Null keys never match.
-    Schema-robust to Ray 2.49's schema-less empty partitions."""
-    schema = ds.schema().base_schema
-    key_type = schema.field(key_col).type
-
-    def tag_left(b: pa.Table) -> pa.Table:
-        return b.append_column("__m", pa.array(np.zeros(b.num_rows, np.int8)))
-
-    def pad_right(b: pa.Table) -> pa.Table:
-        n = b.num_rows if key_col in b.column_names else 0
-        cols = {}
-        for f in schema:
-            if f.name == key_col and n:
-                cols[f.name] = pc.cast(_single_chunk(b.column(key_col)), f.type)
-            else:
-                cols[f.name] = pa.nulls(n, f.type)
-        return pa.table(cols).append_column(
-            "__m", pa.array(np.ones(n, np.int8))
-        )
-
-    both = ds.map_batches(tag_left, batch_format="pyarrow").union(
-        keys.map_batches(pad_right, batch_format="pyarrow")
-    )
-
-    def add_bucket(b: pa.Table) -> pa.Table:
-        bk = _bucket_of_array(_single_chunk(b.column(key_col)), num_buckets)
-        return b.append_column("__sb", pa.array(bk, pa.int32()))
-
-    out_schema = schema
-
-    def filter_group(group: pa.Table) -> pa.Table:
-        if group.num_rows == 0 or "__m" not in group.column_names:
-            return out_schema.empty_table()
-        t = group.drop_columns(["__sb"])
-        is_key = pc.equal(t.column("__m"), 1)
-        key_set = t.filter(is_key).column(key_col)
-        left = t.filter(pc.invert(is_key))
-        if len(key_set) == 0:
-            return out_schema.empty_table()
-        mask = pc.fill_null(
-            pc.is_in(left.column(key_col), value_set=_single_chunk(key_set)), False
-        )
-        return left.filter(mask).drop_columns(["__m"])
-
-    return (
-        both.map_batches(add_bucket, batch_format="pyarrow")
-        .repartition(min(num_partitions, 16))
-        .groupby("__sb", num_partitions=num_partitions)
-        .map_groups(filter_group, batch_format="pyarrow")
-    )
-
-
 def lookup_join_auto(
     left: rd.Dataset,
     right: rd.Dataset,
@@ -225,7 +386,6 @@ def lookup_join_auto(
     right_key: str,
     value_col: str,
     out_col: str,
-    broadcast_byte_cap: int = 256 << 20,
     **bucket_kwargs,
 ) -> rd.Dataset:
     """Size-adaptive LEFT lookup join (same semantics as
@@ -234,32 +394,14 @@ def lookup_join_auto(
     size up front:
 
     - stream the right side's (key, value) columns to the driver up to
-      ``broadcast_byte_cap`` accumulated Arrow bytes; under the cap,
-      ``ray.put`` one deduplicated lookup table and fill every left
-      batch map-side with ``pc.index_in`` — NO shuffle of either side;
+      ``BROADCAST_BYTE_CAP`` (``_collect_capped``, the cap member_filter
+      uses); under it, ``ray.put`` one deduplicated lookup table and
+      fill every left batch map-side with ``pc.index_in`` — NO shuffle
+      of either side;
     - over the cap, fall back to the bucketed task-shuffle join (both
-      sides move once).  The streamed prefix is discarded; the right
-      side is dim-sized relative to the fact, so the re-execution is
-      cheap next to the shuffle it gates.
-
-    Mirrors dedup.anti_join_ids' auto strategy (same cap default)."""
-    import ray
-
-    proj = right.map_batches(
-        lambda b: b.select([right_key, value_col]), batch_format="pyarrow"
-    )
-    tbls: list[pa.Table] = []
-    total = 0
-    too_big = False
-    for b in proj.iter_batches(batch_format="pyarrow", batch_size=65536):
-        if b.num_rows == 0:
-            continue
-        tbls.append(b)
-        total += b.nbytes
-        if total > broadcast_byte_cap:
-            too_big = True
-            break
-    if too_big:
+      sides move once)."""
+    tbls = _collect_capped(right, [right_key, value_col])
+    if tbls is None:
         return bucket_lookup_join(
             left, right, left_key, right_key, value_col, out_col, **bucket_kwargs
         )

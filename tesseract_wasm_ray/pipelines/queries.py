@@ -30,6 +30,7 @@ import ray.data as rd
 from ray.data.aggregate import Count, Max, Mean, Min, Sum
 
 from ..fixtures import generate_corpus
+from ..functions.arrow_util import bucket_ids
 from ..functions.arrow_util import single_chunk as _single_chunk_q
 from ..functions.fastmd5 import md5_hex
 from ..functions.textstats import (
@@ -502,10 +503,8 @@ def q_user_sessions(sf_dir: str):
     )
 
     def add_bucket(b: pa.Table) -> pa.Table:
-        u = b.column("user_id").to_numpy(zero_copy_only=False).astype(np.int64)
-        with np.errstate(over="ignore"):
-            bk = ((u.astype(np.uint64) * np.uint64(0x9E3779B97F4A7C15)) >> np.uint64(40)) % np.uint64(16)
-        return b.append_column("__bucket", pa.array(bk.astype(np.int32), pa.int32()))
+        bk = bucket_ids(b.column("user_id"), 16)
+        return b.append_column("__bucket", pa.array(bk, pa.int32()))
 
     GAP_US = 30 * 60 * 1_000_000
 
@@ -596,12 +595,8 @@ def q_event_interarrival(sf_dir: str):
     )
 
     def add_bucket(b: pa.Table) -> pa.Table:
-        u = b.column("user_id").to_numpy(zero_copy_only=False).astype(np.int64)
-        with np.errstate(over="ignore"):
-            bk = (
-                (u.astype(np.uint64) * np.uint64(0x9E3779B97F4A7C15)) >> np.uint64(40)
-            ) % np.uint64(16)
-        return b.append_column("__bucket", pa.array(bk.astype(np.int32), pa.int32()))
+        bk = bucket_ids(b.column("user_id"), 16)
+        return b.append_column("__bucket", pa.array(bk, pa.int32()))
 
     def gaps(group: pa.Table) -> pa.Table:
         t = group.drop_columns(["__bucket"]).sort_by(
@@ -941,7 +936,7 @@ def q_mktsegment_orders(sf_dir: str):
     beyond it; nation_order_revenue keeps the pure bucketed plan in
     the bench).  Ray 2.49's built-in ``Dataset.join`` was used in
     round 1 and is kept nowhere in the bench path: besides crashing on
-    sparse partitions (see dedup.anti_join_ids) its aggregator actors
+    sparse partitions (see the joins module docstring) its aggregator actors
     are bimodally slow (measured 3.3s vs 111-163s on identical input
     in the same session budget).  Every order key matches a customer
     (TPC-H FK), so the left-outer lookup equals the inner join."""
@@ -1483,9 +1478,9 @@ def q_token_stream_pack(sf_dir: str, bucket_width: int = 1 << 16):
     the within-bucket doc offsets are computed DISTRIBUTED by a
     groupby(bucket) cumsum over (doc_id, n_tokens) pairs — 16-byte
     rows, the text never moves for this; the per-doc start then
-    reaches the text stream through lookup_join_auto (capped broadcast
-    under 256 MB, bucketed task-shuffle join beyond — so no path ever
-    holds one int per doc on the driver).  Pass 2 re-tokenizes
+    reaches the text stream through lookup_join_auto (broadcast under
+    joins.BROADCAST_BYTE_CAP, bucketed task-shuffle join beyond — so no
+    path ever holds one int per doc on the driver).  Pass 2 re-tokenizes
     map-side and emits one PRE-JOINED segment row per (doc, window)
     overlap — the window shuffle moves ~n_windows + n_docs short
     string rows, never per-token rows — and a window groupby stitches
@@ -5390,10 +5385,10 @@ def q_tpch_q22(sf_dir: str):
     scalar aggregate subquery + NOT-EXISTS anti-join + final rollup.
     The global average is two int64 partials (sum cents, count) folded
     on the driver and compared EXACTLY as ``acctbal_c * cnt > sum_c``
-    (no float threshold); the anti-join is dedup.anti_join_ids against
+    (no float threshold); the anti-join is joins.member_filter against
     the distinct recent-custkey set (fact side never shuffles); the
     rollup is nation-bounded."""
-    from .dedup import anti_join_ids
+    from .joins import member_filter
 
     codes = pa.array([1, 3, 5, 7, 9, 11, 13], pa.int64())
 
@@ -5458,10 +5453,11 @@ def q_tpch_q22(sf_dir: str):
         return b.filter(keep)
 
     out = (
-        anti_join_ids(
+        member_filter(
             cust_ds().map_batches(rich, batch_format="pyarrow"),
             recent_keys,
             "c_custkey",
+            keep=False,
         )
         .groupby("cntrycode")
         .aggregate(Count(), Sum("bal_c"))
@@ -5583,18 +5579,13 @@ def q_event_transitions(sf_dir: str):
     )
 
     def add_bucket(b: pa.Table) -> pa.Table:
-        u = b.column("user_id").to_numpy(zero_copy_only=False).astype(np.int64)
-        with np.errstate(over="ignore"):
-            bk = (
-                (u.astype(np.uint64) * np.uint64(0x9E3779B97F4A7C15)) >> np.uint64(40)
-            ) % np.uint64(16)
         return pa.table(
             {
                 "user_id": b.column("user_id"),
                 "ts_us": pc.cast(b.column("ts"), pa.int64()),
                 "event_type": b.column("event_type"),
                 "event_id": b.column("event_id"),
-                "__bucket": pa.array(bk.astype(np.int32), pa.int32()),
+                "__bucket": pa.array(bucket_ids(b.column("user_id"), 16), pa.int32()),
             }
         )
 
@@ -5688,13 +5679,13 @@ def q_stratified_sample(sf_dir: str):
 
 def q_idle_customers(sf_dir: str):
     """Relational ANTI-join: customers who placed NO order in 1996 —
-    dedup.anti_join_ids applied to a dimension-vs-fact membership
-    probe (auto strategy: the distinct active-custkey set broadcasts
-    under the byte cap, routes through the fixed-size bloom + bucketed
-    exact join beyond it).  The active-key side pre-aggregates to
-    DISTINCT custkeys map-side + one bounded groupby before the probe,
-    so the fact table never shuffles."""
-    from .dedup import anti_join_ids
+    joins.member_filter(keep=False) applied to a dimension-vs-fact
+    membership probe (the distinct active-custkey set broadcasts under
+    the byte cap, routes through the fixed-size bloom + bucketed exact
+    filter beyond it).  The active-key side pre-aggregates to DISTINCT
+    custkeys map-side + one bounded groupby before the probe, so the
+    fact table never shuffles."""
+    from .joins import member_filter
 
     lo = pa.scalar(np.datetime64("1996-01-01", "us"))
     hi = pa.scalar(np.datetime64("1997-01-01", "us"))
@@ -5721,7 +5712,7 @@ def q_idle_customers(sf_dir: str):
         os.path.join(sf_dir, "customer.parquet"),
         columns=["c_custkey", "c_name", "c_mktsegment"],
     )
-    return anti_join_ids(cust, active_keys, "c_custkey")
+    return member_filter(cust, active_keys, "c_custkey", keep=False)
 
 
 def q_lang_source_rollup(sf_dir: str):
@@ -6312,9 +6303,9 @@ def q_incremental_dedup(sf_dir: str):
     remaining docs PLUS a planted "re-crawl" of every snapshot doc
     (same text, doc_id + 1,000,000) — the base table has no exact
     duplicates, so without planting the anti-join would be vacuous
-    (the embedding_neardup precedent).  anti_join_ids' AUTO strategy
-    resolves membership (broadcast below the byte cap, bloom-routed
-    bucketed shuffle above).  Done = exactly the planted rows vanish."""
+    (the embedding_neardup precedent).  joins.member_filter resolves
+    membership (broadcast below the byte cap, bloom-routed bucketed
+    filter above).  Done = exactly the planted rows vanish."""
     from .dedup import incremental_exact_dedup
 
     docs = _docs(sf_dir, columns=["doc_id", "text", "n_chars"])
@@ -8763,7 +8754,7 @@ ORACLE_SQL = {
     # snapshot slice's md5 fingerprints.  Null-text rows are kept
     # unconditionally and null snapshot keys ignored — mirrors the
     # engine (dedup.incremental_exact_dedup emits null fingerprints,
-    # anti_join_ids never drops null-key rows); a bare NOT IN would
+    # member_filter's anti-join never drops null-key rows); a bare NOT IN would
     # nullify the whole predicate on a NULL operand.
     "incremental_dedup": """
         WITH snap AS (

@@ -26,8 +26,8 @@ import pyarrow.compute as pc
 import ray.data as rd
 from ray.data.aggregate import Count
 
+from ..functions.arrow_util import bucket_ids
 from ..functions.arrow_util import single_chunk as _single_chunk
-from .joins import _bucket_of_array
 
 # ---------------------------------------------------------------------------
 # as-of join
@@ -109,7 +109,7 @@ def asof_join(
             _ts_int64(b.column(left_ts)),
             pa.nulls(b.num_rows, pa.int8()).fill_null(1),
             pa.nulls(b.num_rows, pa.float64()),
-            pa.array(_bucket_of_array(k, num_buckets), pa.int32()),
+            pa.array(bucket_ids(k, num_buckets), pa.int32()),
         ]
         return pa.Table.from_arrays(cols, schema=common)
 
@@ -120,7 +120,7 @@ def asof_join(
             _ts_int64(b.column(right_ts)),
             pa.nulls(b.num_rows, pa.int8()).fill_null(0),
             pc.cast(b.column(value_col), pa.float64()),
-            pa.array(_bucket_of_array(k, num_buckets), pa.int32()),
+            pa.array(bucket_ids(k, num_buckets), pa.int32()),
         ]
         return pa.Table.from_arrays(cols, schema=common)
 

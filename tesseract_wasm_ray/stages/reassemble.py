@@ -29,6 +29,7 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
+from ..functions.arrow_util import bucket_ids
 from ..schema import DOCUMENTS_SCHEMA, SPAN_STRUCT
 
 
@@ -37,19 +38,12 @@ def bucket_of(doc_id: str, num_buckets: int) -> int:
 
 
 def add_bucket_column(num_buckets: int):
-    """Vectorized-ish bucket assignment: crc32 over the dictionary of
-    unique doc_ids per batch (few uniques per batch), then take."""
+    """Append ``bucket`` = ``bucket_ids(doc_id)`` (crc32 once per
+    distinct doc_id in the batch; equal to ``bucket_of`` per row)."""
 
     def fn(batch: pa.Table) -> pa.Table:
-        enc = pc.dictionary_encode(batch.column("doc_id")).combine_chunks()
-        if isinstance(enc, pa.ChunkedArray):
-            enc = enc.chunk(0)
-        dict_vals = enc.dictionary.to_pylist()
-        lut = np.array(
-            [zlib.crc32(v.encode()) % num_buckets for v in dict_vals], dtype=np.int32
-        )
-        codes = enc.indices.to_numpy(zero_copy_only=False)
-        return batch.append_column("bucket", pa.array(lut[codes], pa.int32()))
+        bk = bucket_ids(batch.column("doc_id"), num_buckets)
+        return batch.append_column("bucket", pa.array(bk, pa.int32()))
 
     return fn
 

@@ -185,65 +185,67 @@ def test_minhash_components_collapses_transitive_chain(ray_session):
     assert len(kept) == 21
 
 
-def test_anti_join_preserves_null_id_rows(ray_session):
-    """Null-id corpus rows must pass through the anti-join unchanged in
-    both strategies (pc.is_in yields null for null input and filter
-    would otherwise silently drop the row)."""
+def _member_case(kind: str):
+    """(ds rows, key rows, schema): int64 ids, or string ids plus one
+    null-id corpus row and one null key."""
+    if kind == "int":
+        schema = pa.schema([("doc_id", pa.int64()), ("text", pa.string())])
+        rows = [{"doc_id": i, "text": f"t{i}"} for i in range(2000)]
+        keys = [{"doc_id": i} for i in range(0, 2000, 7)] + [{"doc_id": 5000}]
+        return rows, keys, schema
+    schema = pa.schema([("doc_id", pa.string()), ("text", pa.string())])
+    ids = [f"doc-{i:04d}" for i in range(400)] + [None]
+    rows = [{"doc_id": d, "text": str(d)} for d in ids]
+    keys = [{"doc_id": f"doc-{i:04d}"} for i in range(0, 400, 3)] + [{"doc_id": None}]
+    return rows, keys, schema
+
+
+@pytest.mark.parametrize("cap", ["default", "zero"])
+@pytest.mark.parametrize("kind", ["int", "str"])
+@pytest.mark.parametrize("keep", [True, False])
+def test_member_filter(ray_session, monkeypatch, keep, kind, cap):
+    """member_filter equals a Python-set reference on both plans: the
+    broadcast (default cap) and the bloom-routed bucketed filter (cap
+    forced to 0).  A null id never matches: anti keeps the row, semi
+    drops it."""
     import ray.data as rd
 
-    from tesseract_wasm_ray.pipelines.dedup import anti_join_ids
+    from tesseract_wasm_ray.pipelines import joins
 
-    rows = [
-        {"doc_id": 1, "text": "a"},
-        {"doc_id": None, "text": "null-id survives"},
-        {"doc_id": 3, "text": "c"},
-    ]
-    ds = rd.from_arrow(
-        pa.Table.from_pylist(
-            rows, schema=pa.schema([("doc_id", pa.int64()), ("text", pa.string())])
-        )
+    if cap == "zero":
+        monkeypatch.setattr(joins, "BROADCAST_BYTE_CAP", 0)
+    rows, keys, schema = _member_case(kind)
+    ds = rd.from_arrow(pa.Table.from_pylist(rows, schema=schema)).repartition(4)
+    key_ds = rd.from_arrow(
+        pa.Table.from_pylist(keys, schema=pa.schema([schema.field("doc_id")]))
     )
-    dups = rd.from_arrow(pa.table({"doc_id": pa.array([3], pa.int64())}))
-    for strategy in ("broadcast", "shuffle", "bloom", "auto"):
-        out = anti_join_ids(ds, dups, "doc_id", strategy=strategy).to_pandas()
-        assert len(out) == 2, strategy
-        assert "null-id survives" in set(out["text"]), strategy
+    got = joins.member_filter(ds, key_ds, "doc_id", keep=keep).to_pandas()
+
+    key_set = {k["doc_id"] for k in keys if k["doc_id"] is not None}
+    want = sorted(
+        r["text"] for r in rows
+        if (r["doc_id"] is not None and r["doc_id"] in key_set) == keep
+    )
+    assert sorted(got["text"]) == want
+    assert list(got.columns) == schema.names
 
 
-def test_anti_join_auto_switches_to_bloom(ray_session, caplog):
-    """'auto' broadcasts small dup sets but must flip to the bloom-routed
-    plan once the streamed dup-id bytes exceed the cap — same result
-    either way."""
-    import logging
-
+@pytest.mark.parametrize("keep", [True, False])
+def test_member_filter_empty_keys(ray_session, keep):
+    """No keys: the anti-join returns every row, the semi-join an empty
+    dataset that still carries the input schema."""
     import ray.data as rd
 
-    from tesseract_wasm_ray.pipelines.dedup import anti_join_ids
+    from tesseract_wasm_ray.pipelines.joins import member_filter
 
+    schema = pa.schema([("doc_id", pa.int64()), ("text", pa.string())])
     ds = rd.from_arrow(
-        pa.table(
-            {
-                "doc_id": pa.array(range(200), pa.int64()),
-                "text": pa.array([f"t{i}" for i in range(200)]),
-            }
-        )
+        pa.Table.from_pylist([{"doc_id": i, "text": f"t{i}"} for i in range(10)], schema=schema)
     )
-    dups = rd.from_arrow(
-        pa.table({"doc_id": pa.array(range(0, 200, 2), pa.int64())})
-    )
-    with caplog.at_level(logging.INFO, logger="tesseract_wasm_ray.pipelines.dedup"):
-        out = anti_join_ids(
-            ds, dups, "doc_id", strategy="auto", broadcast_byte_cap=64
-        ).to_pandas()
-    assert any("switching to bloom-routed" in r.message for r in caplog.records)
-    assert sorted(out["doc_id"]) == list(range(1, 200, 2))
-
-    # Under the cap: stays broadcast (no switch logged), same answer.
-    caplog.clear()
-    with caplog.at_level(logging.INFO, logger="tesseract_wasm_ray.pipelines.dedup"):
-        out2 = anti_join_ids(ds, dups, "doc_id", strategy="auto").to_pandas()
-    assert not any("switching to bloom-routed" in r.message for r in caplog.records)
-    assert sorted(out2["doc_id"]) == list(range(1, 200, 2))
+    keys = rd.from_arrow(pa.table({"doc_id": pa.array([], pa.int64())}))
+    out = member_filter(ds, keys, "doc_id", keep=keep)
+    assert out.count() == (0 if keep else 10)
+    assert out.schema().names == schema.names
 
 
 def test_ngram_dedup_no_duplicates_corpus(ray_session):
@@ -355,46 +357,10 @@ def test_chain_fallback_beyond_exact_cap(monkeypatch):
     assert np.array_equal(got, np.arange(1, L))
 
 
-def test_bloom_anti_join_exact(ray_session):
-    """Bloom routing never changes the answer: planted dup sets over
-    int and string ids produce exactly the shuffle-strategy result."""
-    import ray.data as rd
-
-    from tesseract_wasm_ray.pipelines.dedup import anti_join_ids
-
-    # int ids
-    ds = rd.from_arrow(
-        pa.table({"doc_id": pa.array(range(5000), pa.int64()),
-                  "text": pa.array([f"t{i}" for i in range(5000)])})
-    )
-    dups = rd.from_arrow(
-        pa.table({"doc_id": pa.array(range(0, 5000, 7), pa.int64())})
-    )
-    out = anti_join_ids(ds, dups, "doc_id", strategy="bloom").to_pandas()
-    assert sorted(out["doc_id"]) == [i for i in range(5000) if i % 7]
-
-    # string ids + a null
-    ids = [f"doc-{i:04d}" for i in range(400)] + [None]
-    ds2 = rd.from_arrow(
-        pa.Table.from_pylist(
-            [{"doc_id": d, "text": str(d)} for d in ids],
-            schema=pa.schema([("doc_id", pa.string()), ("text", pa.string())]),
-        )
-    )
-    dups2 = rd.from_arrow(
-        pa.table({"doc_id": pa.array([f"doc-{i:04d}" for i in range(0, 400, 3)])})
-    )
-    out2 = anti_join_ids(ds2, dups2, "doc_id", strategy="bloom").to_pandas()
-    survivors = {d for d in ids if d is not None and int(d[4:]) % 3}
-    got = set(out2["doc_id"].dropna())
-    assert got == survivors
-    assert out2["doc_id"].isna().sum() == 1  # null id passes through
-
-
 def test_build_bloom_no_false_negatives(ray_session):
     import ray.data as rd
 
-    from tesseract_wasm_ray.pipelines.dedup import (
+    from tesseract_wasm_ray.pipelines.joins import (
         _bloom_h12,
         _bloom_word_bit,
         build_bloom,

@@ -77,12 +77,13 @@ def test_auto_broadcast_matches_bucket(ray_session):
     assert a.loc[a["id"] == 4, "v3"].iloc[0] == 12  # min, not 999
 
 
-def test_auto_falls_back_to_shuffle_over_cap(ray_session):
+def test_auto_falls_back_to_shuffle_over_cap(ray_session, monkeypatch):
+    from tesseract_wasm_ray.pipelines import joins
+
+    monkeypatch.setattr(joins, "BROADCAST_BYTE_CAP", 1)
     left = [{"id": i} for i in range(50)]
     right = [{"k": i, "v": i + 1} for i in range(50)]
-    out = _run_auto(
-        left, right, "id", "k", "v", "v1", broadcast_byte_cap=1
-    ).sort_values("id", ignore_index=True)
+    out = _run_auto(left, right, "id", "k", "v", "v1").sort_values("id", ignore_index=True)
     assert (out["v1"] == out["id"] + 1).all()
 
 
@@ -109,3 +110,30 @@ def test_auto_string_keys_and_unmatched(ray_session):
     out = _run_auto(left, right, "ref", "k", "v", "val").set_index("ref")
     assert out.loc["img-2", "val"] == "x" and out.loc["img-5", "val"] == "y"
     assert out["val"].isna().sum() == 4
+
+
+def test_bucket_ids_match_reference():
+    """bucket_ids is the one bucket function: crc32 of the utf-8 key for
+    strings (equal to reassemble.bucket_of, the manifest partition_id),
+    the Fibonacci mix for integers, and empty input yields no ids."""
+    import zlib
+
+    from tesseract_wasm_ray.functions.arrow_util import bucket_ids
+    from tesseract_wasm_ray.stages.reassemble import bucket_of
+
+    n = 37
+    strs = [f"doc-{i}" for i in range(50)] + ["doc-3", "é"]
+    chunked = pa.chunked_array([strs[:20], strs[20:]])
+    got = bucket_ids(chunked, n)
+    assert got.dtype == np.int32
+    assert got.tolist() == [zlib.crc32(s.encode()) % n for s in strs]
+    assert got.tolist() == [bucket_of(s, n) for s in strs]
+
+    ints = np.array([0, 1, 2, 12345, -7, 2**62], np.int64)
+    want = [
+        ((int(k) % 2**64) * 0x9E3779B97F4A7C15 % 2**64 >> 40) % n for k in ints
+    ]
+    assert bucket_ids(pa.array(ints), n).tolist() == want
+
+    assert len(bucket_ids(pa.array([], pa.string()), n)) == 0
+    assert len(bucket_ids(pa.chunked_array([], pa.int64()), n)) == 0

@@ -97,15 +97,17 @@ def test_extract_write_manifest_and_resume(small_corpus, tmp_path):
 
 
 def test_resume_semi_join_scale_path(small_corpus, tmp_path, monkeypatch):
-    """Early-crash resume ABOVE max_resume_refs must not re-OCR the
-    completed buckets: with the broadcast cap forced to 0 the pipeline
-    switches to the bucketed SEMI join (joins.bucket_semi_filter), which
-    prunes media against the still-needed ref stream with no driver-side
-    set.  Only the deleted partition's pages may reach the recognition
-    stage, and the redone output must still match the golden spans."""
+    """Early-crash resume past the broadcast byte cap must not re-OCR
+    the completed buckets: with joins.BROADCAST_BYTE_CAP forced to 0 the
+    media semi-join (joins.member_filter) takes its bloom-routed bucketed
+    plan, which prunes media against the still-needed ref stream with no
+    driver-side set.  Only the deleted partition's pages may reach the
+    recognition stage, and the redone output must still match the
+    golden spans."""
     import ray.data as rd
 
     import tesseract_wasm_ray.pipelines.extract as ex
+    from tesseract_wasm_ray.pipelines import joins
     from tesseract_wasm_ray.stages.ocr_actor import OcrActor
 
     out = str(tmp_path / "out")
@@ -126,7 +128,7 @@ def test_resume_semi_join_scale_path(small_corpus, tmp_path, monkeypatch):
             return super().__call__(batch)
 
     monkeypatch.setattr(ex, "OcrActor", TracingOcr)
-    cfg.max_resume_refs = 0  # force the semi-join scale path
+    monkeypatch.setattr(joins, "BROADCAST_BYTE_CAP", 0)  # force the scale path
     rows2 = run_extract(small_corpus["documents"], small_corpus["media"], cfg, out_dir=out)
     assert [r["output_file"] for r in rows2] == [victim]
 
@@ -156,7 +158,8 @@ def test_reassemble_preserves_offset_order(ray_session):
 
 def test_resume_prunes_ocr_compute(small_corpus, tmp_path, monkeypatch):
     """A fully-completed resume must not re-run recognition: the media
-    rows are pruned by the broadcast ref filter before the OCR stage.
+    rows are pruned by the (empty) needed-ref semi-join before the OCR
+    stage.
     The tracing subclass is patched into the EXTRACT module (the class
     object is cloudpickled by value into the OCR tasks, so the trace
     file is written from their worker processes)."""
