@@ -2696,11 +2696,7 @@ def q_phash_dedup(sf_dir: str):
     )
 
 
-def q_image_knn(
-    sf_dir: str,
-    broadcast_budget_bytes: int = 256 << 20,
-    n_docs: int | None = None,
-):
+def q_image_knn(sf_dir: str, broadcast_budget_bytes: int = 256 << 20):
     """Image similarity search (the LAION-style multimodal retrieval
     pass, composing the decode and similarity families): every raster
     sketches to the 64-bit integer average-hash (pixels never leave
@@ -2721,7 +2717,7 @@ def q_image_knn(
     from ..functions.sketch import hash_string_array
     from ..stages.multimodal import ahash64
 
-    paths = corpus_for(sf_dir, n_docs=n_docs)
+    paths = corpus_for(sf_dir)
     media = rd.read_parquet(
         paths["media"], columns=["media_ref", "width", "height", "channels", "pixels"]
     )
@@ -3046,8 +3042,9 @@ def q_ivf_topk(sf_dir: str):
         dtype=np.float64,
     )
     # nprobe == n_centroids: IVF recall is exactly 1, so the result
-    # equals brute-force top-k and the SQL oracle can gate it.  bench.py
-    # exercises the pruned nprobe<n_centroids path.
+    # equals brute-force top-k and the SQL oracle can gate it.  The pruned
+    # nprobe<n_centroids path is tested by
+    # tests/test_similarity.py::test_ivf_topk_recall.
     out = ivf_topk(ds, q, k=10, n_centroids=8, nprobe=8)
     return out.map_batches(
         lambda b: _round(b, {"cos_sim": 5}), batch_format="pyarrow"
@@ -3064,8 +3061,9 @@ def q_knn_join(sf_dir: str):
 def q_knn_join_cells(sf_dir: str):
     """Distributed IVF-cell k-NN self-join (no broadcast index).  With
     nprobe == n_centroids every query probes every cell, so recall is
-    exactly 1 and the brute-force SQL oracle gates it bit-for-bit —
-    bench.py exercises the pruned nprobe < n_centroids scale path."""
+    exactly 1 and the brute-force SQL oracle gates it bit-for-bit.  The
+    pruned nprobe < n_centroids path is tested by
+    tests/test_similarity.py::test_knn_cells_pruned_recall."""
     from .similarity import knn_self_join_cells
 
     ds = rd.read_parquet(os.path.join(sf_dir, "embeddings.parquet"))

@@ -8,7 +8,10 @@ value comparison).  Usage::
 ``--repeat N`` reruns each query N times and asserts the canonical
 value hash (md5 over float BITS, not displayed digits) is identical on
 every run — the determinism gate for float-aggregate queries whose
-block order Ray does not fix (VERDICT r03 item 1)."""
+block order Ray does not fix (VERDICT r03 item 1).
+
+Each result line ends with the query's wall seconds (first run), so a
+run without names is also the catalogue timing sweep."""
 
 from __future__ import annotations
 
@@ -16,7 +19,8 @@ import os
 import sys
 import time
 
-sys.path.insert(0, os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
+REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+sys.path.insert(0, REPO)
 
 import duckdb
 import pandas as pd
@@ -85,6 +89,9 @@ def main() -> int:
     sf_dir = argv[0] if argv else "/root/testdata/sf0.01"
     only = set(argv[1:])
 
+    # Ray workers import the package from REPO whatever the working directory.
+    path = [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
+    os.environ["PYTHONPATH"] = os.pathsep.join([REPO] + path)
     import ray
 
     if not ray.is_initialized():
