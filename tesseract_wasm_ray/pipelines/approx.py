@@ -90,7 +90,6 @@ def approx_distinct(
     key_col: str,
     value_col: str,
     p: int = 9,
-    num_partitions: int = 8,
 ) -> rd.Dataset:
     """Per-key approximate COUNT(DISTINCT value) via HyperLogLog.
 
@@ -152,7 +151,7 @@ def approx_distinct(
 
     return (
         ds.map_batches(partials, batch_format="pyarrow")
-        .groupby(key_col, num_partitions=num_partitions)
+        .groupby(key_col)
         .map_groups(estimate, batch_format="pyarrow")
     )
 

@@ -43,7 +43,7 @@ from ..functions.sketch import (
     signature_jaccard,
     simhash_blocks,
 )
-from .joins import bucket_lookup_join, member_filter
+from .joins import bucket_lookup_join, bucket_map_groups, member_filter
 
 
 # ---------------------------------------------------------------------------
@@ -52,19 +52,12 @@ from .joins import bucket_lookup_join, member_filter
 
 
 def keep_min_by(
-    ds: rd.Dataset, key_col: str, order_col: str, num_buckets: int = 64,
-    shuffle_partitions: int = 16,
+    ds: rd.Dataset, key_col: str, order_col: str, num_buckets: int = 64
 ) -> rd.Dataset:
     """Keep, per distinct ``key_col`` value, the single row with the
     minimum ``order_col`` (see :func:`keep_first_by` for multi-key /
     descending orderings)."""
-    return keep_first_by(
-        ds,
-        key_col,
-        [(order_col, "ascending")],
-        num_buckets=num_buckets,
-        shuffle_partitions=shuffle_partitions,
-    )
+    return keep_first_by(ds, key_col, [(order_col, "ascending")], num_buckets=num_buckets)
 
 
 def keep_first_by(
@@ -72,7 +65,6 @@ def keep_first_by(
     key_col: str,
     sort_keys: list[tuple[str, str]],
     num_buckets: int = 64,
-    shuffle_partitions: int = 16,
 ) -> rd.Dataset:
     """Keep, per distinct ``key_col`` value, the single row ranked first
     under ``sort_keys`` (a list of ``(column, "ascending"|"descending")``
@@ -99,11 +91,7 @@ def keep_first_by(
         return batch.append_column("__bucket", pa.array(b, pa.int32()))
 
     def first_per_key(group: pa.Table) -> pa.Table:
-        t = group.drop_columns(["__bucket"]).sort_by(
-            [(key_col, "ascending"), *sort_keys]
-        )
-        if t.num_rows == 0:
-            return t
+        t = group.sort_by([(key_col, "ascending"), *sort_keys])
         keys = _single_chunk(t.column(key_col))
         neq = pc.not_equal(keys.slice(1), keys.slice(0, len(keys) - 1)).to_numpy(
             zero_copy_only=False
@@ -111,11 +99,11 @@ def keep_first_by(
         starts = np.flatnonzero(np.r_[True, neq])
         return t.take(pa.array(starts, pa.int64()))
 
-    return (
-        ds.map_batches(add_bucket, batch_format="pyarrow")
-        .repartition(shuffle_partitions)
-        .groupby("__bucket", num_partitions=shuffle_partitions)
-        .map_groups(first_per_key, batch_format="pyarrow")
+    return bucket_map_groups(
+        ds.map_batches(add_bucket, batch_format="pyarrow"),
+        "__bucket",
+        first_per_key,
+        coalesce=16,
     )
 
 
@@ -371,23 +359,18 @@ def _dup_ids_from_buckets(
         return batch.append_column("__bucket", pa.array(bk, pa.int32()))
 
     def find_dups(group: pa.Table) -> pa.Table:
-        t = group.drop_columns(["__bucket"]).sort_by(
-            [(key_col, "ascending"), (id_col, "ascending")]
-        )
-        n = t.num_rows
-        if n == 0:
-            return pa.table({id_col: pa.array([], t.column(id_col).type)})
+        t = group.sort_by([(key_col, "ascending"), (id_col, "ascending")])
         keys = t.column(key_col).to_numpy(zero_copy_only=False)
         dup_rows = _run_dup_rows(t, keys, verify)
         if len(dup_rows) == 0:
             return pa.table({id_col: pa.array([], t.column(id_col).type)})
         return pa.table({id_col: _single_chunk(t.column(id_col)).take(pa.array(dup_rows, pa.int64()))})
 
-    dups = (
-        bucket_rows.map_batches(add_bucket, batch_format="pyarrow")
-        .repartition(min(num_buckets, 32))
-        .groupby("__bucket", num_partitions=min(num_buckets, 32))
-        .map_groups(find_dups, batch_format="pyarrow")
+    dups = bucket_map_groups(
+        bucket_rows.map_batches(add_bucket, batch_format="pyarrow"),
+        "__bucket",
+        find_dups,
+        coalesce=min(num_buckets, 32),
     )
     # An id can be flagged by several bands/blocks — dedupe the dup list.
     deduped = keep_min_by(dups.map_batches(
@@ -435,19 +418,14 @@ def candidate_pairs_from_buckets(
         return batch.append_column("__bucket", pa.array(bk, pa.int32()))
 
     def pairs_of(group: pa.Table) -> pa.Table:
-        t = group.drop_columns(["__bucket"]).sort_by(
-            [(key_col, "ascending"), (id_col, "ascending")]
-        )
+        t = group.sort_by([(key_col, "ascending"), (id_col, "ascending")])
         keys = t.column(key_col).to_numpy(zero_copy_only=False)
-        empty = pa.table(
-            {id_col: pa.array([], t.column(id_col).type),
-             "rep_id": pa.array([], t.column(id_col).type)}
-        )
-        if len(keys) == 0:
-            return empty
         lo, hi = _run_verified_pairs(t, keys, verify)
         if len(hi) == 0:
-            return empty
+            return pa.table(
+                {id_col: pa.array([], t.column(id_col).type),
+                 "rep_id": pa.array([], t.column(id_col).type)}
+            )
         ids = _single_chunk(t.column(id_col))
         return pa.table(
             {
@@ -456,11 +434,11 @@ def candidate_pairs_from_buckets(
             }
         )
 
-    return (
-        bucket_rows.map_batches(add_bucket, batch_format="pyarrow")
-        .repartition(min(num_buckets, 32))
-        .groupby("__bucket", num_partitions=min(num_buckets, 32))
-        .map_groups(pairs_of, batch_format="pyarrow")
+    return bucket_map_groups(
+        bucket_rows.map_batches(add_bucket, batch_format="pyarrow"),
+        "__bucket",
+        pairs_of,
+        coalesce=min(num_buckets, 32),
     )
 
 
@@ -470,7 +448,6 @@ def cluster_components(
     id_type: pa.DataType,
     max_driver_pairs: int = 500_000,
     num_buckets: int = 64,
-    num_partitions: int = 16,
     max_rounds: int = 64,
 ) -> rd.Dataset:
     """Connected components over candidate pairs -> dup ids (everything
@@ -492,9 +469,7 @@ def cluster_components(
     if n_pairs == 0:
         return rd.from_arrow(pa.table({id_col: pa.array([], id_type)}))
     if n_pairs > max_driver_pairs:
-        return _components_distributed(
-            pairs, id_col, id_type, num_buckets, num_partitions, max_rounds
-        )
+        return _components_distributed(pairs, id_col, id_type, num_buckets, max_rounds)
     parent: dict = {}
 
     def find(x):
@@ -528,7 +503,6 @@ def _components_distributed(
     id_col: str,
     id_type: pa.DataType,
     num_buckets: int,
-    num_partitions: int,
     max_rounds: int,
 ) -> rd.Dataset:
     """Iterative min-label propagation: label(x) <- min(label(x),
@@ -574,11 +548,7 @@ def _components_distributed(
     ).map_batches(lambda b: b.select(["node", "label"]), batch_format="pyarrow").materialize()
 
     def min_per_node(group: pa.Table) -> pa.Table:
-        if "node" not in group.column_names:
-            return pa.schema(
-                [("node", id_type), ("label", id_type), ("__src", pa.int8())]
-            ).empty_table()
-        t = group.drop_columns(["__b"]).sort_by(
+        t = group.sort_by(
             [("node", "ascending"), ("label", "ascending"), ("__src", "ascending")]
         )
         nodes = t.column("node").to_numpy(zero_copy_only=False)
@@ -592,8 +562,7 @@ def _components_distributed(
     changed = -1
     for _ in range(max_rounds):
         nbr = bucket_lookup_join(
-            edges, labels, "v", "node", "label", "cand",
-            num_buckets=num_buckets, num_partitions=num_partitions,
+            edges, labels, "v", "node", "label", "cand", num_buckets=num_buckets
         ).map_batches(
             lambda b: pa.table(
                 {"node": b.column("u"),
@@ -608,8 +577,7 @@ def _components_distributed(
         # Halves the remaining chain depth every round, so convergence
         # is O(log diameter) and max_rounds is effectively unreachable.
         hop = bucket_lookup_join(
-            labels, labels, "label", "node", "label", "cand",
-            num_buckets=num_buckets, num_partitions=num_partitions,
+            labels, labels, "label", "node", "label", "cand", num_buckets=num_buckets
         ).map_batches(
             lambda b: pa.table(
                 {"node": b.column("node"),
@@ -622,14 +590,12 @@ def _components_distributed(
             lambda b: b.append_column("__src", pa.array(np.zeros(b.num_rows, np.int8))),
             batch_format="pyarrow",
         )
-        merged = (
-            self_rows.union(nbr).union(hop)
-            .map_batches(add_b, batch_format="pyarrow")
-            .repartition(num_partitions)
-            .groupby("__b", num_partitions=num_partitions)
-            .map_groups(min_per_node, batch_format="pyarrow")
-            .materialize()
-        )
+        merged = bucket_map_groups(
+            self_rows.union(nbr).union(hop).map_batches(add_b, batch_format="pyarrow"),
+            "__b",
+            min_per_node,
+            coalesce=16,
+        ).materialize()
         # Ties sort the self row (__src=0) first, so a winning __src=1 row
         # means the label strictly decreased this round.
         changed = merged.sum("__src", ignore_nulls=True) or 0
@@ -872,7 +838,6 @@ def ngram_jaccard_dedup(
     threshold: float = 0.8,
     shingle_n: int = 3,
     num_buckets: int = 64,
-    join_partitions: int = 16,
 ) -> rd.Dataset:
     """EXACT word n-gram Jaccard dedup.  Candidates come from MinHash
     LSH (cheap, sketch-only shuffle) with a permissive signature screen
@@ -930,7 +895,7 @@ def ngram_jaccard_dedup(
     with_text = bucket_lookup_join(
         pairs.map_batches(explode_pairs, batch_format="pyarrow"),
         texts, "__key", id_col, text_col, "__t",
-        num_buckets=num_buckets, num_partitions=join_partitions,
+        num_buckets=num_buckets,
         # Explicit schema: with zero candidate pairs Ray has no block to
         # infer it from.
         left_schema=pa.schema(
@@ -952,10 +917,7 @@ def ngram_jaccard_dedup(
         return b.append_column("__pb", pa.array(bk, pa.int32()))
 
     def verify_group(group: pa.Table) -> pa.Table:
-        out_schema = pa.schema([(id_col, id_type)])
-        if "__pid" not in group.column_names or group.num_rows == 0:
-            return out_schema.empty_table()
-        t = group.drop_columns(["__pb"]).sort_by(
+        t = group.sort_by(
             [("__pid", "ascending"), ("__prep", "ascending"), ("__side", "ascending")]
         )
         # First-of-run dedupe over (pid, prep, side): the same pair can
@@ -991,10 +953,10 @@ def ngram_jaccard_dedup(
         )
         return pa.table({id_col: member_ids.filter(pa.array(jac >= threshold))})
 
-    dup_ids = (
-        with_text.map_batches(add_pair_bucket, batch_format="pyarrow")
-        .groupby("__pb", num_partitions=min(join_partitions, 16))
-        .map_groups(verify_group, batch_format="pyarrow")
+    dup_ids = bucket_map_groups(
+        with_text.map_batches(add_pair_bucket, batch_format="pyarrow"),
+        "__pb",
+        verify_group,
     )
     return member_filter(ds, dup_ids, id_col, keep=False)
 
@@ -1079,7 +1041,6 @@ def dup_ngram_stats(
     ds: rd.Dataset,
     n: int = 5,
     num_buckets: int = 64,
-    num_partitions: int = 16,
     id_col: str = "doc_id",
     text_col: str = "text",
 ) -> rd.Dataset:
@@ -1174,16 +1135,13 @@ def dup_ngram_stats(
         )
 
     totals = ds.map_batches(doc_totals, batch_format="pyarrow")
-    dup_partials = (
-        ds.map_batches(doc_grams, batch_format="pyarrow")
-        .repartition(num_partitions)
-        .groupby("__b", num_partitions=num_partitions)
-        .map_groups(mark, batch_format="pyarrow")
+    dup_partials = bucket_map_groups(
+        ds.map_batches(doc_grams, batch_format="pyarrow"), "__b", mark, coalesce=16
     )
     marked = (
         totals.union(dup_partials)
-        .repartition(num_partitions)
-        .groupby(id_col, num_partitions=max(2, num_partitions // 2))
+        .repartition(16)
+        .groupby(id_col)
         .aggregate(Sum("n_dup"), Sum("n_tot"))
     )
 
@@ -1209,7 +1167,6 @@ def dup_ngram_stats(
 def chunk_dedup_docs(
     ds: rd.Dataset,
     chunk_size: int = 16,
-    num_partitions: int = 16,
     id_col: str = "doc_id",
 ) -> rd.Dataset:
     """Chunk-granularity exact dedup with in-order document
@@ -1248,16 +1205,8 @@ def chunk_dedup_docs(
     )
 
     def add_doc_bucket(b: pa.Table) -> pa.Table:
-        ids = _single_chunk(pc.cast(b.column(id_col), pa.int64())).to_numpy(
-            zero_copy_only=False
-        )
-        with np.errstate(over="ignore"):
-            mixed = (
-                ids.astype(np.uint64) * np.uint64(0x9E3779B97F4A7C15)
-            ) >> np.uint64(40)
-        return b.append_column(
-            "__db", pa.array((mixed % np.uint64(64)).astype(np.int32))
-        )
+        bk = bucket_ids(_single_chunk(pc.cast(b.column(id_col), pa.int64())), 64)
+        return b.append_column("__db", pa.array(bk, pa.int32()))
 
     def stitch_bucket(g: pa.Table) -> pa.Table:
         t = g.sort_by([(id_col, "ascending"), ("chunk_id", "ascending")])
@@ -1280,10 +1229,8 @@ def chunk_dedup_docs(
             }
         )
 
-    return (
-        kept.map_batches(add_doc_bucket, batch_format="pyarrow")
-        .groupby("__db", num_partitions=num_partitions)
-        .map_groups(stitch_bucket, batch_format="pyarrow")
+    return bucket_map_groups(
+        kept.map_batches(add_doc_bucket, batch_format="pyarrow"), "__db", stitch_bucket
     )
 
 
@@ -1399,7 +1346,6 @@ def exact_substring_dedup(
     ds: rd.Dataset,
     n: int = 5,
     num_buckets: int = 64,
-    num_partitions: int = 16,
     id_col: str = "doc_id",
     text_col: str = "text",
 ) -> rd.Dataset:
@@ -1455,41 +1401,29 @@ def exact_substring_dedup(
             }
         )
 
-    removals = (
-        ds.map_batches(instances, batch_format="pyarrow")
-        .repartition(num_partitions)
-        .groupby("__b", num_partitions=num_partitions)
-        .map_groups(mark, batch_format="pyarrow")
+    removals = bucket_map_groups(
+        ds.map_batches(instances, batch_format="pyarrow"), "__b", mark, coalesce=16
     )
 
-    def _doc_bucket(ids: np.ndarray) -> np.ndarray:
-        with np.errstate(over="ignore"):
-            mixed = (
-                ids.astype(np.uint64) * np.uint64(0x9E3779B97F4A7C15)
-            ) >> np.uint64(40)
-        return (mixed % np.uint64(num_buckets)).astype(np.int32)
-
     def tag_docs(b: pa.Table) -> pa.Table:
-        ids = pc.cast(_single_chunk(b.column(id_col)), pa.int64()).to_numpy(
-            zero_copy_only=False
-        )
+        ids = pc.cast(_single_chunk(b.column(id_col)), pa.int64())
         return pa.table(
             {
-                id_col: pa.array(ids, pa.int64()),
+                id_col: ids,
                 "text": b.column(text_col),
                 "pos": pa.nulls(b.num_rows, pa.int64()),
-                "__db": pa.array(_doc_bucket(ids)),
+                "__db": pa.array(bucket_ids(ids, num_buckets), pa.int32()),
             }
         )
 
     def tag_removals(b: pa.Table) -> pa.Table:
-        ids = _single_chunk(b.column(id_col)).to_numpy(zero_copy_only=False)
+        ids = pc.cast(_single_chunk(b.column(id_col)), pa.int64())
         return pa.table(
             {
-                id_col: pa.array(ids, pa.int64()),
+                id_col: ids,
                 "text": pa.nulls(b.num_rows, pa.string()),
                 "pos": b.column("pos"),
-                "__db": pa.array(_doc_bucket(ids)),
+                "__db": pa.array(bucket_ids(ids, num_buckets), pa.int32()),
             }
         )
 
@@ -1544,6 +1478,4 @@ def exact_substring_dedup(
     tagged = ds.map_batches(tag_docs, batch_format="pyarrow").union(
         removals.map_batches(tag_removals, batch_format="pyarrow")
     )
-    return tagged.repartition(num_partitions).groupby(
-        "__db", num_partitions=num_partitions
-    ).map_groups(rebuild, batch_format="pyarrow")
+    return bucket_map_groups(tagged, "__db", rebuild, coalesce=16)

@@ -54,9 +54,13 @@ from ..stages.manifest import (
     write_quarantine_atomic,
 )
 from ..stages.ocr_actor import OcrActor
-from ..stages.reassemble import add_bucket_column, stitch_bucket
+from ..stages.reassemble import add_bucket_column, bucket_of, stitch_bucket
 from ..state.glyph_model import GlyphModel
-from .joins import member_filter
+from .joins import bucket_map_groups, member_filter
+
+# Buckets of the media_ref join (``__jb``): media rows meet their OCR
+# rows by crc32(media_ref), text rows spread by crc32(doc_id).
+JOIN_BUCKETS = 128
 
 
 @dataclass
@@ -65,12 +69,13 @@ class ExtractConfig:
     ocr_concurrency: int | None = None
     ocr_batch_size: int = 256
     num_buckets: int = 64
-    join_partitions: int = 32
     # Blocks entering a sort shuffle are coalesced to this many first:
     # hundreds of tiny blocks cost ~10ms of scheduling each in the sort
-    # (sample+map+merge per block), dominating small-row shuffles.  Size
-    # to ~0.5-1x the CPU count; raise with corpus size so blocks stay
-    # under the worker heap (rows here are small text structs).
+    # (sample+map+merge per block), dominating small-row shuffles.  The
+    # sort makes one reducer per input block, so this is the fan-out of
+    # both of the flagship's shuffles.  Size to ~0.5-1x the CPU count;
+    # raise with corpus size so blocks stay under the worker heap (rows
+    # here are small text structs).
     coalesce_partitions: int = 16
     # Dead-letter policy for the OCR stage: "quarantine" (default — a
     # malformed payload poisons one row, lands in the bucket's
@@ -152,8 +157,6 @@ def _span_rows(
     prunes through the bloom-routed bucketed filter — no driver set, no
     re-OCR of completed buckets.
     """
-    num_buckets = cfg.join_partitions * 4
-
     def prune_done(rows: pa.Table) -> pa.Table:
         """Drop span rows of docs whose reassembly bucket is already in
         the manifest — BEFORE stripping/shuffling (resume skips the
@@ -187,14 +190,14 @@ def _span_rows(
         keys = pc.if_else(
             pa.array(is_text), rows.column("doc_id"), rows.column("media_ref")
         )
-        bk = bucket_ids(keys, num_buckets)
+        bk = bucket_ids(keys, JOIN_BUCKETS)
         # dead-letter column: spans start clean; OCR failures arrive via
         # the co-bucketed __ocr rows (pad_ocr) and gather in fill_text
         rows = rows.append_column("error", pa.nulls(rows.num_rows, pa.string()))
         return rows.append_column("__jb", pa.array(bk, pa.int32()))
 
     def pad_ocr(batch: pa.Table) -> pa.Table:
-        bk = bucket_ids(batch.column("media_ref"), num_buckets)
+        bk = bucket_ids(batch.column("media_ref"), JOIN_BUCKETS)
         return pa.table(
             {
                 "doc_id": pa.array([""] * batch.num_rows, pa.string()),
@@ -207,14 +210,13 @@ def _span_rows(
             }
         )
 
-    def fill_text(group: pa.Table) -> pa.Table:
+    def fill_text(t: pa.Table) -> pa.Table:
         """Resolve media-span text from co-bucketed __ocr rows with a
         pure-Arrow gather: per-row source indices computed in numpy from
         dictionary codes, then ONE ``take`` on the text column — no
         ``to_pylist`` / Python-string materialization on the hot path
         (media spans start with text "", so an unmatched media row
         gathering its own text yields "" — the join's null fill)."""
-        t = group.drop_columns(["__jb"])
         kind = t.column("kind")
         is_ocr = pc.equal(kind, "__ocr").combine_chunks()
         mask_ocr = is_ocr.to_numpy(zero_copy_only=False)
@@ -262,9 +264,8 @@ def _span_rows(
         lambda b: pad_ocr(b.select(["media_ref", "text", "error"])),
         batch_format="pyarrow",
     )
-    both = span_stream.union(ocr_rows).repartition(cfg.coalesce_partitions)
-    return both.groupby("__jb", num_partitions=cfg.join_partitions).map_groups(
-        fill_text, batch_format="pyarrow"
+    return bucket_map_groups(
+        span_stream.union(ocr_rows), "__jb", fill_text, coalesce=cfg.coalesce_partitions
     )
 
 
@@ -313,19 +314,16 @@ def run_extract(
     done: set[int] = set()
     if out_dir is not None and resume:
         done = completed_buckets(out_dir, config_fingerprint(cfg.fingerprint_dict()))
-    # _span_rows output is already coalesced (one block per fill
-    # partition) — no repartition barrier needed before the reassembly.
+    # _span_rows output is already coalesced (one block per reducer of
+    # the join sort) — no repartition barrier needed before the reassembly.
     rows = _span_rows(docs_path, media_path, cfg, skip_buckets=frozenset(done))
     bucketed = rows.map_batches(add_bucket_column(cfg.num_buckets), batch_format="pyarrow")
 
     if out_dir is None:
         # lazy-return path: poisoned docs are dropped (the out_dir path
         # is where quarantine rows + manifest accounting live)
-        return bucketed.groupby(
-            "bucket", num_partitions=min(cfg.num_buckets, 64)
-        ).map_groups(
-            lambda g: stitch_bucket(split_quarantine(g.drop_columns(["bucket"]))[0]),
-            batch_format="pyarrow",
+        return bucket_map_groups(
+            bucketed, "bucket", lambda g: stitch_bucket(split_quarantine(g)[0])
         )
 
     os.makedirs(out_dir, exist_ok=True)
@@ -336,8 +334,8 @@ def run_extract(
 
     def stitch_and_write(group: pa.Table) -> pa.Table:
         t0 = time.monotonic()
-        bucket = int(group.column("bucket")[0].as_py())
-        clean, quarantined = split_quarantine(group.drop_columns(["bucket"]))
+        bucket = bucket_of(group.column("doc_id")[0].as_py(), cfg.num_buckets)
+        clean, quarantined = split_quarantine(group)
         qname = ""
         n_quar = 0
         if quarantined.num_rows:
@@ -374,11 +372,9 @@ def run_extract(
 
         return pa.Table.from_pylist([row], schema=MANIFEST_SCHEMA)
 
-    manifest_rows = (
-        bucketed.groupby("bucket", num_partitions=min(cfg.num_buckets, 64))
-        .map_groups(stitch_and_write, batch_format="pyarrow")
-        .take_all()
-    )  # manifest rows are tiny (one per bucket) — safe to materialize
+    manifest_rows = bucket_map_groups(
+        bucketed, "bucket", stitch_and_write
+    ).take_all()  # manifest rows are tiny (one per bucket) — safe to materialize
     append_manifest(out_dir, manifest_rows)
     return manifest_rows
 
@@ -466,12 +462,7 @@ def validate_against_golden(result: rd.Dataset, golden_path: str) -> dict:
     bucketed = tagged.repartition(16).map_batches(
         add_bucket_column(16), batch_format="pyarrow"
     )
-    counts = (
-        bucketed.groupby("bucket", num_partitions=16)
-        .map_groups(compare, batch_format="pyarrow")
-        .to_pandas()
-        .sum()
-    )
+    counts = bucket_map_groups(bucketed, "bucket", compare).to_pandas().sum()
     return {
         "docs_ok": int(counts["ok"]),
         "docs_mismatched": int(counts["mismatch"]),

@@ -13,6 +13,9 @@ them; past the cap, union both sides tagged, hash-bucket them on
 Buckets are process-stable (crc32 / Fibonacci mix), so re-runs and
 resumes see identical groups.
 
+- ``bucket_map_groups`` is the one bucket shuffle: the caller tags
+  each row with an int bucket id inside a map it already runs, and
+  ``fn`` sees each bucket's rows once, without the tag.
 - ``member_filter`` keeps (semi-join) or drops (anti-join) the rows
   whose key appears in a key Dataset: dedup's dup-id removal, the
   incremental snapshot filter and the flagship's resume pruning.
@@ -26,7 +29,9 @@ resumes see identical groups.
 
 from __future__ import annotations
 
+import functools
 import zlib
+from typing import Callable
 
 import numpy as np
 import pyarrow as pa
@@ -61,6 +66,37 @@ def _collect_capped(ds: rd.Dataset, cols: list[str]) -> list[pa.Table] | None:
         if total > BROADCAST_BYTE_CAP:
             return None
     return tbls
+
+
+def bucket_map_groups(
+    ds: rd.Dataset,
+    key: str,
+    fn: Callable[[pa.Table], pa.Table],
+    coalesce: int | None = None,
+) -> rd.Dataset:
+    """Group ``ds`` on its int tag column ``key`` and call ``fn`` once
+    per bucket on that bucket's rows with the tag dropped (pyarrow in,
+    pyarrow out).  ``fn`` never sees zero rows: an empty input makes no
+    call and yields an empty Dataset.  The caller appends the tag
+    inside a map it already runs, from ``bucket_ids`` or its own rule,
+    so this adds no operator of its own; ``fn`` keeps its name in the
+    plan.
+
+    There is no partition count to set.  Under Ray 2.49's default
+    sort-based shuffle ``map_groups`` is a ``Sort`` with one reducer
+    per input block, and ``groupby(num_partitions=)`` is read only
+    under ``HASH_SHUFFLE``, which the engine never enables
+    (docs/RAY_NOTES.md §3, §7).  The one fan-out setting is
+    ``coalesce``: repartition ``ds`` to that many blocks first, so many
+    tiny blocks do not each cost a sort task."""
+    if coalesce:
+        ds = ds.repartition(coalesce)
+
+    @functools.wraps(fn)
+    def per_bucket(group: pa.Table) -> pa.Table:
+        return fn(group.drop_columns([key]))
+
+    return ds.groupby(key).map_groups(per_bucket, batch_format="pyarrow")
 
 
 # ---------------------------------------------------------------------------
@@ -108,13 +144,12 @@ def build_bloom(
     id_col: str,
     m_bits: int = 1 << 27,
     k_hashes: int = 7,
-    combine_partitions: int = 16,
 ) -> np.ndarray:
     """Distributed bloom build over an id Dataset -> packed uint64
     bitmap (m_bits/8 bytes, e.g. 16 MB at the default — a FIXED-size
     broadcast no matter how many ids).  Each block folds its ids into
-    a local bitmap; bitmaps OR-combine in one grouped tree level so
-    the driver ORs ``combine_partitions`` arrays, not one per block."""
+    a local bitmap; bitmaps OR-combine in one grouped tree level, so
+    at most 16 arrays come back to be ORed, not one per block."""
     n_words = m_bits >> 6
 
     def block_bitmap(b: pa.Table) -> pa.Table:
@@ -125,9 +160,7 @@ def build_bloom(
             np.bitwise_or.at(words, w, bit)
         return pa.table(
             {
-                "__part": pa.array(
-                    [zlib.crc32(words.tobytes()) % combine_partitions], pa.int32()
-                ),
+                "__part": pa.array([zlib.crc32(words.tobytes()) % 16], pa.int32()),
                 "bitmap": pa.array([words.tobytes()], pa.binary()),
             }
         )
@@ -136,17 +169,11 @@ def build_bloom(
         acc = np.zeros(n_words, np.uint64)
         for buf in g.column("bitmap").to_pylist():
             acc |= np.frombuffer(buf, np.uint64)
-        return pa.table(
-            {"__part": g.column("__part").slice(0, 1),
-             "bitmap": pa.array([acc.tobytes()], pa.binary())}
-        )
+        return pa.table({"bitmap": pa.array([acc.tobytes()], pa.binary())})
 
-    parts = (
-        ids_ds.map_batches(block_bitmap, batch_format="pyarrow")
-        .groupby("__part", num_partitions=combine_partitions)
-        .map_groups(or_group, batch_format="pyarrow")
-        .take_all()
-    )
+    parts = bucket_map_groups(
+        ids_ds.map_batches(block_bitmap, batch_format="pyarrow"), "__part", or_group
+    ).take_all()
     acc = np.zeros(n_words, np.uint64)
     for row in parts:
         acc |= np.frombuffer(row["bitmap"], np.uint64)
@@ -248,23 +275,21 @@ def _bucket_member(
         return b.append_column("__mb", pa.array(bk, pa.int32()))
 
     def filter_group(group: pa.Table) -> pa.Table:
-        if group.num_rows == 0 or "__m" not in group.column_names:
-            return schema.empty_table()
         is_key = pc.equal(group.column("__m"), 1)
-        rows = group.filter(pc.invert(is_key)).drop_columns(["__m", "__mb"])
+        rows = group.filter(pc.invert(is_key)).drop_columns(["__m"])
         hit = pc.is_in(
             rows.column(key_col),
             value_set=_single_chunk(group.filter(is_key).column(key_col)),
         )
         return rows.filter(hit if keep else pc.invert(hit))
 
-    return (
+    return bucket_map_groups(
         ds.map_batches(tag_rows, batch_format="pyarrow")
         .union(keys.map_batches(pad_keys, batch_format="pyarrow"))
-        .map_batches(add_bucket, batch_format="pyarrow")
-        .repartition(16)
-        .groupby("__mb", num_partitions=32)
-        .map_groups(filter_group, batch_format="pyarrow")
+        .map_batches(add_bucket, batch_format="pyarrow"),
+        "__mb",
+        filter_group,
+        coalesce=16,
     )
 
 
@@ -276,8 +301,6 @@ def bucket_lookup_join(
     value_col: str,
     out_col: str,
     num_buckets: int = 64,
-    num_partitions: int = 16,
-    coalesce: int = 16,
     left_schema: pa.Schema | None = None,
     value_type: pa.DataType | None = None,
 ) -> rd.Dataset:
@@ -321,22 +344,11 @@ def bucket_lookup_join(
             .append_column("__jb", pa.array(bk, pa.int32()))
         )
 
-    both = (
-        left.map_batches(tag_left, batch_format="pyarrow")
-        .union(right.map_batches(tag_right, batch_format="pyarrow"))
-        .repartition(coalesce)
+    both = left.map_batches(tag_left, batch_format="pyarrow").union(
+        right.map_batches(tag_right, batch_format="pyarrow")
     )
 
-    out_schema = pa.schema(
-        [left_schema.field(n) for n in left_names] + [pa.field(out_col, value_type)]
-    )
-
-    def fill(group: pa.Table) -> pa.Table:
-        if "__jb" not in group.column_names:
-            # Empty groupby partitions emit 0-row blocks with an empty
-            # schema (Ray 2.49 quirk) — normalize to the output schema.
-            return out_schema.empty_table()
-        t = group.drop_columns(["__jb"])
+    def fill(t: pa.Table) -> pa.Table:
         side = t.column("__s").to_numpy(zero_copy_only=False)
         is_left = side == 0
         left_rows = t.filter(pa.array(is_left))
@@ -374,9 +386,7 @@ def bucket_lookup_join(
         out = left_rows.drop_columns(["__k", "__v", "__s"])
         return out.append_column(out_col, filled)
 
-    return both.groupby("__jb", num_partitions=num_partitions).map_groups(
-        fill, batch_format="pyarrow"
-    )
+    return bucket_map_groups(both, "__jb", fill, coalesce=16)
 
 
 def lookup_join_auto(
@@ -386,7 +396,6 @@ def lookup_join_auto(
     right_key: str,
     value_col: str,
     out_col: str,
-    **bucket_kwargs,
 ) -> rd.Dataset:
     """Size-adaptive LEFT lookup join (same semantics as
     bucket_lookup_join: left outer, MIN value on duplicate right keys,
@@ -402,9 +411,7 @@ def lookup_join_auto(
       sides move once)."""
     tbls = _collect_capped(right, [right_key, value_col])
     if tbls is None:
-        return bucket_lookup_join(
-            left, right, left_key, right_key, value_col, out_col, **bucket_kwargs
-        )
+        return bucket_lookup_join(left, right, left_key, right_key, value_col, out_col)
 
     key_type = left.schema().base_schema.field(left_key).type
     if tbls:

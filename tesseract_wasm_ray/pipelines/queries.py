@@ -48,6 +48,7 @@ from .dedup import (
     ngram_jaccard_dedup,
     simhash_dedup,
 )
+from .joins import bucket_map_groups
 from .extract import ExtractConfig, ocr_media, ocr_pool, run_extract, validate_against_golden
 from .similarity import ivf_topk, knn_self_join, topk_cosine
 
@@ -496,8 +497,6 @@ def q_user_sessions(sf_dir: str):
     breaks after >30 min of inactivity per user.  Hash-bucket users,
     one vectorized pass per bucket (sorted diff + boundary count) —
     the SQL oracle uses lag() OVER (PARTITION BY ...) windows."""
-    import zlib
-
     ds = rd.read_parquet(
         os.path.join(sf_dir, "events.parquet"), columns=["user_id", "ts"]
     )
@@ -509,18 +508,9 @@ def q_user_sessions(sf_dir: str):
     GAP_US = 30 * 60 * 1_000_000
 
     def sessions(group: pa.Table) -> pa.Table:
-        t = group.drop_columns(["__bucket"]).sort_by(
-            [("user_id", "ascending"), ("ts", "ascending")]
-        )
+        t = group.sort_by([("user_id", "ascending"), ("ts", "ascending")])
         u = t.column("user_id").to_numpy(zero_copy_only=False).astype(np.int64)
         ts = t.column("ts").to_numpy(zero_copy_only=False).astype("datetime64[us]").astype(np.int64)
-        n = len(u)
-        if n == 0:
-            return pa.table(
-                {"user_id": pa.array([], pa.int64()),
-                 "n_sessions": pa.array([], pa.int64()),
-                 "n_events": pa.array([], pa.int64())}
-            )
         new_user = np.r_[True, u[1:] != u[:-1]]
         gap = np.r_[True, (ts[1:] - ts[:-1]) > GAP_US]
         new_session = new_user | gap
@@ -537,10 +527,8 @@ def q_user_sessions(sf_dir: str):
             }
         )
 
-    return (
-        ds.map_batches(add_bucket, batch_format="pyarrow")
-        .groupby("__bucket", num_partitions=8)
-        .map_groups(sessions, batch_format="pyarrow")
+    return bucket_map_groups(
+        ds.map_batches(add_bucket, batch_format="pyarrow"), "__bucket", sessions
     )
 
 
@@ -571,7 +559,7 @@ def q_source_lang_pivot(sf_dir: str):
     return (
         _docs(sf_dir, columns=["source", "lang"])
         .map_batches(partials, batch_format="pyarrow")
-        .groupby("source", num_partitions=4)
+        .groupby("source")
         .aggregate(*aggs)
         .map_batches(
             lambda b: _rename(b, {f"sum(n_{lg})": f"n_{lg}" for lg in LANGS}),
@@ -599,7 +587,7 @@ def q_event_interarrival(sf_dir: str):
         return b.append_column("__bucket", pa.array(bk, pa.int32()))
 
     def gaps(group: pa.Table) -> pa.Table:
-        t = group.drop_columns(["__bucket"]).sort_by(
+        t = group.sort_by(
             [("user_id", "ascending"), ("ts", "ascending"), ("event_id", "ascending")]
         )
         u = t.column("user_id").to_numpy(zero_copy_only=False).astype(np.int64)
@@ -609,15 +597,6 @@ def q_event_interarrival(sf_dir: str):
             .astype("datetime64[us]")
             .astype(np.int64)
         )
-        n = len(u)
-        if n == 0:
-            return pa.table(
-                {
-                    "event_id": pa.array([], pa.int64()),
-                    "user_id": pa.array([], pa.int64()),
-                    "gap_us": pa.array([], pa.int64()),
-                }
-            )
         has_prev = np.r_[False, u[1:] == u[:-1]]
         gap = np.r_[0, ts[1:] - ts[:-1]]
         idx = pa.array(np.flatnonzero(has_prev), pa.int64())
@@ -629,10 +608,8 @@ def q_event_interarrival(sf_dir: str):
             }
         )
 
-    return (
-        ds.map_batches(add_bucket, batch_format="pyarrow")
-        .groupby("__bucket", num_partitions=8)
-        .map_groups(gaps, batch_format="pyarrow")
+    return bucket_map_groups(
+        ds.map_batches(add_bucket, batch_format="pyarrow"), "__bucket", gaps
     )
 
 
@@ -710,7 +687,7 @@ def q_top_docs_per_lang(sf_dir: str):
         )
     )
 
-    return ds.groupby("lang", num_partitions=4).map_groups(topk, batch_format="pyarrow")
+    return ds.groupby("lang").map_groups(topk, batch_format="pyarrow")
 
 
 def q_top_long_docs(sf_dir: str):
@@ -959,7 +936,6 @@ def q_mktsegment_orders(sf_dir: str):
     )
     joined = lookup_join_auto(
         orders, customer, "o_custkey", "c_custkey", "c_mktsegment", "c_mktsegment",
-        num_buckets=64, num_partitions=16,
     )
     out = (
         joined.groupby("c_mktsegment")
@@ -999,7 +975,6 @@ def q_events_asof_order(sf_dir: str):
         value_col="o_orderkey",
         out_col="o_orderkey",
         num_buckets=32,
-        num_partitions=8,
     )
     return out.map_batches(
         lambda b: b.select(["event_id", "user_id", "o_orderkey"]),
@@ -1082,7 +1057,7 @@ def q_top_suppliers_per_nation(sf_dir: str):
 
     return (
         per_supp.map_batches(add_nation, batch_format="pyarrow")
-        .groupby("s_nationkey", num_partitions=4)
+        .groupby("s_nationkey")
         .map_groups(topk, batch_format="pyarrow")
     )
 
@@ -1171,7 +1146,7 @@ def q_top_terms_per_lang(sf_dir: str):
             }
         )
 
-    return counts.groupby("lang", num_partitions=4).map_groups(
+    return counts.groupby("lang").map_groups(
         topk, batch_format="pyarrow"
     )
 
@@ -1328,7 +1303,7 @@ def q_domain_cap(sf_dir: str):
         keep = t.filter(pa.array(_run_rank(t.column("source")) < 10))
         return keep.select(["doc_id", "source"])
 
-    return ds.groupby("source", num_partitions=4).map_groups(
+    return ds.groupby("source").map_groups(
         cap, batch_format="pyarrow"
     )
 
@@ -1532,10 +1507,6 @@ def q_token_stream_pack(sf_dir: str, bucket_width: int = 1 << 16):
         return b.append_column("__bk", pa.array(did // bucket_width, pa.int64()))
 
     def within(group: pa.Table) -> pa.Table:
-        if group.num_rows == 0 or "doc_id" not in group.column_names:
-            return pa.table(
-                {"doc_id": pa.array([], pa.int64()), "start": pa.array([], pa.int64())}
-            )
         bks, bases_ = ray.get(base_ref)
         t = group.sort_by([("doc_id", "ascending")])
         did = t.column("doc_id").to_numpy(zero_copy_only=False).astype(np.int64)
@@ -1546,10 +1517,8 @@ def q_token_stream_pack(sf_dir: str, bucket_width: int = 1 << 16):
             {"doc_id": pa.array(did, pa.int64()), "start": pa.array(starts, pa.int64())}
         )
 
-    starts_ds = (
-        counts.map_batches(add_bk, batch_format="pyarrow")
-        .groupby("__bk", num_partitions=8)
-        .map_groups(within, batch_format="pyarrow")
+    starts_ds = bucket_map_groups(
+        counts.map_batches(add_bk, batch_format="pyarrow"), "__bk", within
     )
 
     tok_re = re.compile(r"\S+")
@@ -1619,7 +1588,7 @@ def q_token_stream_pack(sf_dir: str, bucket_width: int = 1 << 16):
     )
     return (
         joined.map_batches(segments, batch_format="pyarrow")
-        .groupby("window_id", num_partitions=8)
+        .groupby("window_id")
         .map_groups(assemble, batch_format="pyarrow")
     )
 
@@ -1655,7 +1624,7 @@ def q_global_rank(sf_dir: str):
         rank = np.repeat(offs, np.diff(np.r_[seg, len(nc)])) + local + 1
         return g.append_column("rank", pa.array(rank.astype(np.int64), pa.int64()))
 
-    return ds.groupby("n_chars", num_partitions=4).map_groups(
+    return ds.groupby("n_chars").map_groups(
         rk, batch_format="pyarrow"
     )
 
@@ -2072,7 +2041,6 @@ def q_nation_order_revenue(sf_dir: str):
     )
     joined = bucket_lookup_join(
         orders, customer, "o_custkey", "c_custkey", "c_nationkey", "c_nationkey",
-        num_buckets=64, num_partitions=16,
     )
     nation = pq.read_table(
         os.path.join(sf_dir, "nation.parquet"), columns=["n_nationkey", "n_name"]
@@ -2258,7 +2226,7 @@ def _extract_cfg() -> ExtractConfig:
     from ..tuning import apply_data_context_tuning
 
     apply_data_context_tuning()
-    return ExtractConfig(ocr_batch_size=64, num_buckets=16, join_partitions=8)
+    return ExtractConfig(ocr_batch_size=64, num_buckets=16)
 
 
 def q_extract_flagship(sf_dir: str):
@@ -2910,7 +2878,6 @@ def q_image_knn(sf_dir: str, broadcast_budget_bytes: int = 256 << 20):
     # query_ref and keep each query's global top-K inside its bucket —
     # the merge_topk / keep_min_by discipline (similarity.py), with the
     # rank emitted from the same run-rank pass.  NO driver pandas.
-    out_schema = partial_schema.append(pa.field("rk", pa.int64()))
 
     def add_qbucket(b: pa.Table) -> pa.Table:
         if b.num_rows == 0 or "query_ref" not in b.column_names:
@@ -2921,9 +2888,7 @@ def q_image_knn(sf_dir: str, broadcast_budget_bytes: int = 256 << 20):
         )
 
     def merge_topk(group: pa.Table) -> pa.Table:
-        if group.num_rows == 0 or "query_ref" not in group.column_names:
-            return out_schema.empty_table()
-        t = group.drop_columns(["__qb"]).sort_by(
+        t = group.sort_by(
             [
                 ("query_ref", "ascending"),
                 ("hamming", "ascending"),
@@ -2934,14 +2899,8 @@ def q_image_knn(sf_dir: str, broadcast_budget_bytes: int = 256 << 20):
         t = t.append_column("rk", pa.array(rank + 1, pa.int64()))
         return t.filter(pa.array(rank < K))
 
-    # fold partitions scale with the query count (a knob, not a
-    # semantic: buckets only co-locate partials) — small query sets
-    # skip the 16-task constant, big ones spread the fold
-    n_parts = 16 if int(n_queries or 0) > 100_000 else 4
-    return (
-        partials.map_batches(add_qbucket, batch_format="pyarrow")
-        .groupby("__qb", num_partitions=n_parts)
-        .map_groups(merge_topk, batch_format="pyarrow")
+    return bucket_map_groups(
+        partials.map_batches(add_qbucket, batch_format="pyarrow"), "__qb", merge_topk
     )
 
 
@@ -2972,7 +2931,7 @@ def q_simhash_dedup(sf_dir: str):
 
 def q_ngram_jaccard_dedup(sf_dir: str):
     return ngram_jaccard_dedup(
-        _docs(sf_dir, columns=["doc_id", "text"]), threshold=0.8, num_buckets=16, join_partitions=8
+        _docs(sf_dir, columns=["doc_id", "text"]), threshold=0.8, num_buckets=16
     ).map_batches(lambda b: b.select(["doc_id"]), batch_format="pyarrow")
 
 
@@ -3389,7 +3348,6 @@ def q_tpch_q5(sf_dir: str):
 
     with_cust = lookup_join_auto(
         li, orders, "l_orderkey", "o_orderkey", "o_custkey", "o_custkey",
-        num_buckets=64, num_partitions=16,
     ).map_batches(
         # inner-join semantics: drop fact rows whose order fell to the
         # date filter (lookup came back null)
@@ -3409,7 +3367,6 @@ def q_tpch_q5(sf_dir: str):
     )
     with_nat = lookup_join_auto(
         with_cust, customer, "o_custkey", "c_custkey", "c_nationkey", "c_nat",
-        num_buckets=64, num_partitions=16,
     )
 
     def local_sum(b: pa.Table) -> pa.Table:
@@ -3615,7 +3572,6 @@ def q_tpch_q3(sf_dir: str):
 
     joined = lookup_join_auto(
         li, orders, "l_orderkey", "o_orderkey", "o_date_us", "o_date_us",
-        num_buckets=64, num_partitions=16,
     ).map_batches(
         # inner semantics: drop lineitems whose order fell to the
         # date/segment filters (lookup came back null)
@@ -3710,7 +3666,6 @@ def q_tpch_q4(sf_dir: str):
 
     matched = lookup_join_auto(
         li, orders, "l_orderkey", "o_orderkey", "packed", "packed",
-        num_buckets=64, num_partitions=16,
     ).map_batches(exists_filter, batch_format="pyarrow")
 
     counts = (
@@ -3782,7 +3737,6 @@ def q_tpch_q10(sf_dir: str):
 
     joined = lookup_join_auto(
         li, orders, "l_orderkey", "o_orderkey", "o_custkey", "o_custkey",
-        num_buckets=64, num_partitions=16,
     ).map_batches(
         lambda b: b.filter(pc.is_valid(b.column("o_custkey"))),
         batch_format="pyarrow",
@@ -3881,7 +3835,6 @@ def q_tpch_q12(sf_dir: str):
     out = (
         lookup_join_auto(
             li, orders, "l_orderkey", "o_orderkey", "prio", "prio",
-            num_buckets=64, num_partitions=16,
         )
         .map_batches(classify, batch_format="pyarrow")
         .groupby("l_returnflag")
@@ -3948,7 +3901,6 @@ def q_tpch_q14(sf_dir: str):
     totals = (
         lookup_join_auto(
             li, part, "l_partkey", "p_partkey", "promo", "promo",
-            num_buckets=64, num_partitions=16,
         )
         .map_batches(split, batch_format="pyarrow")
         .aggregate(Sum("rev"), Sum("promo_rev"))
@@ -4031,7 +3983,6 @@ def q_tpch_q18(sf_dir: str):
     parts = (
         lookup_join_auto(
             orders, qsum, "o_orderkey", "l_orderkey", "qty_c", "qty_c",
-            num_buckets=64, num_partitions=16,
         )
         .map_batches(block_top100, batch_format="pyarrow")
         .take_all()  # bounded: ≤ 100 rows per output block
@@ -4135,7 +4086,6 @@ def q_tpch_q19(sf_dir: str):
     total = (
         lookup_join_auto(
             li, part, "l_partkey", "p_partkey", "code", "code",
-            num_buckets=64, num_partitions=16,
         )
         .map_batches(branch_filter, batch_format="pyarrow")
         .aggregate(Sum("rev"))
@@ -4232,10 +4182,8 @@ def q_tpch_q7(sf_dir: str):
     joined = lookup_join_auto(
         lookup_join_auto(
             li, orders, "l_orderkey", "o_orderkey", "o_custkey", "o_custkey",
-            num_buckets=64, num_partitions=16,
         ),
         cust, "o_custkey", "c_custkey", "c_nat", "c_nat",
-        num_buckets=64, num_partitions=16,
     ).map_batches(pair_filter, batch_format="pyarrow")
 
     out = (
@@ -4387,10 +4335,8 @@ def q_tpch_q8(sf_dir: str):
         lookup_join_auto(
             lookup_join_auto(
                 li, part, "l_partkey", "p_partkey", "promo", "promo",
-                num_buckets=64, num_partitions=16,
             ),
             orders, "l_orderkey", "o_orderkey", "packed", "packed",
-            num_buckets=64, num_partitions=16,
         ).map_batches(
             # custkey for the customer hop comes out of the packed value
             lambda b: b.append_column(
@@ -4400,7 +4346,6 @@ def q_tpch_q8(sf_dir: str):
             batch_format="pyarrow",
         ),
         cust, "o_custkey", "c_custkey", "c_nat", "c_nat",
-        num_buckets=64, num_partitions=16,
     ).map_batches(finish, batch_format="pyarrow")
 
     out = (
@@ -4509,11 +4454,9 @@ def q_tpch_q2(sf_dir: str):
     )
     li = lookup_join_auto(
         li, part, "l_partkey", "p_partkey", "__flag", "__flag",
-        num_buckets=64, num_partitions=16,
     )
     li = lookup_join_auto(
         li, sup, "l_suppkey", "s_suppkey", "__euro", "__euro",
-        num_buckets=64, num_partitions=16,
     )
 
     def unpack(b: pa.Table) -> pa.Table:
@@ -4541,7 +4484,6 @@ def q_tpch_q2(sf_dir: str):
     )
     return lookup_join_auto(
         best, names, "s_suppkey", "s_suppkey", "s_name", "s_name",
-        num_buckets=64, num_partitions=16,
     )
 
 
@@ -4595,7 +4537,6 @@ def q_tpch_q15(sf_dir: str):
     )
     return lookup_join_auto(
         top, names, "s_suppkey", "s_suppkey", "s_name", "s_name",
-        num_buckets=64, num_partitions=16,
     ).map_batches(
         lambda b: pa.table(
             {
@@ -4622,7 +4563,6 @@ def q_tpch_q9(sf_dir: str):
     dollars, so the (nation, year)-bounded rollup is block-order
     invariant; nation names attach driver-side to the tiny result."""
     import pyarrow.parquet as pq
-    import pandas as pd
 
     from .joins import lookup_join_auto
 
@@ -4688,7 +4628,6 @@ def q_tpch_q9(sf_dir: str):
     )
     li = lookup_join_auto(
         li, part, "l_partkey", "p_partkey", "retail_c", "retail_c",
-        num_buckets=64, num_partitions=16,
     ).map_batches(profit, batch_format="pyarrow")
 
     orders = rd.read_parquet(
@@ -4706,7 +4645,6 @@ def q_tpch_q9(sf_dir: str):
     out = (
         lookup_join_auto(
             li, orders, "l_orderkey", "o_orderkey", "o_year", "o_year",
-            num_buckets=64, num_partitions=16,
         )
         .map_batches(
             lambda b: b.filter(pc.is_valid(b.column("o_year"))).select(
@@ -4927,16 +4865,12 @@ def q_tpch_q16(sf_dir: str):
             }
         )
 
+    bucketed = lookup_join_auto(
+        li, part, "l_partkey", "p_partkey", "packed", "packed"
+    ).map_batches(combine_key, batch_format="pyarrow")
     return (
-        lookup_join_auto(
-            li, part, "l_partkey", "p_partkey", "packed", "packed",
-            num_buckets=64, num_partitions=16,
-        )
-        .map_batches(combine_key, batch_format="pyarrow")
-        .repartition(16)
-        .groupby("__bucket", num_partitions=16)
-        .map_groups(bucket_counts, batch_format="pyarrow")
-        .groupby("packed", num_partitions=4)
+        bucket_map_groups(bucketed, "__bucket", bucket_counts, coalesce=16)
+        .groupby("packed")
         .aggregate(Sum("cnt"))  # bounded: <= pairs x buckets partial rows
         .map_batches(
             lambda b: pa.table(
@@ -4994,7 +4928,6 @@ def q_tpch_q13(sf_dir: str):
     return (
         lookup_join_auto(
             cust, counts, "c_custkey", "o_custkey", "c_count", "c_count",
-            num_buckets=64, num_partitions=16,
         )
         .map_batches(fill_zero, batch_format="pyarrow")
         .groupby("c_count")
@@ -5059,7 +4992,6 @@ def q_tpch_q17(sf_dir: str):
         )
         return lookup_join_auto(
             li, part, "l_partkey", "p_partkey", "__flag", "__flag",
-            num_buckets=64, num_partitions=16,
         ).map_batches(
             lambda b: b.filter(pc.is_valid(b.column("__flag"))).drop_columns(
                 ["__flag"]
@@ -5114,7 +5046,7 @@ def q_tpch_q17(sf_dir: str):
     total = (
         lookup_join_auto(
             flagged, thresholds, "l_partkey", "p_partkey",
-            "packed", "packed", num_buckets=64, num_partitions=16,
+            "packed", "packed",
         )
         .map_batches(small_only, batch_format="pyarrow")
         .aggregate(Sum("price_c"))
@@ -5138,7 +5070,6 @@ def q_tpch_q20(sf_dir: str):
     an integer rule (``2·avail > qty``) on the grouped rows, and the
     surviving supplier set (bounded by the supplier dim) resolves names
     and the region filter driver-side."""
-    import pandas as pd
     import pyarrow.parquet as pq
 
     red = pq.read_table(
@@ -5239,7 +5170,6 @@ def q_tpch_q21(sf_dir: str):
     (min late suppkey) in one shuffle over the deduped rows; the
     numwait rollup is supplier-bounded, and the region filter applies
     to the BLAMED supplier only (as in the original), driver-side."""
-    import pandas as pd
     import pyarrow.parquet as pq
 
     from .joins import lookup_join_auto
@@ -5336,15 +5266,11 @@ def q_tpch_q21(sf_dir: str):
         elig = (n_supp >= 2) & (n_late == 1)
         return pa.table({"blamed": pa.array(blamed_of[elig], pa.int64())})
 
+    keyed = lookup_join_auto(
+        li, orders, "l_orderkey", "o_orderkey", "date_us", "date_us"
+    ).map_batches(key_rows, batch_format="pyarrow")
     numwait = (
-        lookup_join_auto(
-            li, orders, "l_orderkey", "o_orderkey", "date_us", "date_us",
-            num_buckets=64, num_partitions=16,
-        )
-        .map_batches(key_rows, batch_format="pyarrow")
-        .repartition(16)
-        .groupby("__bucket", num_partitions=16)
-        .map_groups(order_verdicts, batch_format="pyarrow")
+        bucket_map_groups(keyed, "__bucket", order_verdicts, coalesce=16)
         .groupby("blamed")
         .aggregate(Count())  # supplier-bounded rollup
         .to_pandas()
@@ -5523,7 +5449,7 @@ def q_running_revenue(sf_dir: str):
             }
         )
 
-    return orders.groupby("o_custkey", num_partitions=16).map_groups(
+    return orders.groupby("o_custkey").map_groups(
         running, batch_format="pyarrow"
     )
 
@@ -5626,9 +5552,9 @@ def q_event_transitions(sf_dir: str):
         )
 
     return (
-        ds.map_batches(add_bucket, batch_format="pyarrow")
-        .groupby("__bucket", num_partitions=8)
-        .map_groups(transitions, batch_format="pyarrow")
+        bucket_map_groups(
+            ds.map_batches(add_bucket, batch_format="pyarrow"), "__bucket", transitions
+        )
         .groupby(["from_type", "to_type"])
         .aggregate(Sum("n"))
         .map_batches(
@@ -5670,7 +5596,7 @@ def q_stratified_sample(sf_dir: str):
         .map_batches(topk, batch_format="pyarrow")  # map-side pre-select
     )
 
-    return ds.groupby("lang", num_partitions=4).map_groups(
+    return ds.groupby("lang").map_groups(
         topk, batch_format="pyarrow"
     )
 
@@ -5825,17 +5751,7 @@ def q_events_sliding_1h(sf_dir: str):
             out.append(part(day[spill] + 1, spill, 1))
         return pa.concat_tables(out)
 
-    out_schema = pa.schema(
-        [
-            ("event_id", pa.int64()),
-            ("event_type", pa.string()),
-            ("n_prev_hour", pa.int64()),
-        ]
-    )
-
     def win(group: pa.Table) -> pa.Table:
-        if group.num_rows == 0 or "ts_us" not in group.column_names:
-            return out_schema.empty_table()
         t = group.sort_by([("ts_us", "ascending"), ("event_id", "ascending")])
         ts = t.column("ts_us").to_numpy(zero_copy_only=False)
         own = pc.equal(t.column("__ctx"), 0).to_numpy(zero_copy_only=False)
@@ -5851,11 +5767,7 @@ def q_events_sliding_1h(sf_dir: str):
             }
         )
 
-    return (
-        ds.map_batches(fan, batch_format="pyarrow")
-        .groupby("__bk", num_partitions=8)
-        .map_groups(win, batch_format="pyarrow")
-    )
+    return bucket_map_groups(ds.map_batches(fan, batch_format="pyarrow"), "__bk", win)
 
 
 def q_events_sliding_sum_1h(sf_dir: str):
@@ -5905,17 +5817,7 @@ def q_events_sliding_sum_1h(sf_dir: str):
             out.append(part(day[spill] + 1, spill, 1))
         return pa.concat_tables(out)
 
-    out_schema = pa.schema(
-        [
-            ("event_id", pa.int64()),
-            ("event_type", pa.string()),
-            ("sum_value", pa.float64()),
-        ]
-    )
-
     def win(group: pa.Table) -> pa.Table:
-        if group.num_rows == 0 or "ts_us" not in group.column_names:
-            return out_schema.empty_table()
         t = group.sort_by([("ts_us", "ascending"), ("event_id", "ascending")])
         ts = t.column("ts_us").to_numpy(zero_copy_only=False)
         cents = t.column("cents").to_numpy(zero_copy_only=False)
@@ -5933,11 +5835,7 @@ def q_events_sliding_sum_1h(sf_dir: str):
             }
         )
 
-    return (
-        ds.map_batches(fan, batch_format="pyarrow")
-        .groupby("__bk", num_partitions=8)
-        .map_groups(win, batch_format="pyarrow")
-    )
+    return bucket_map_groups(ds.map_batches(fan, batch_format="pyarrow"), "__bk", win)
 
 
 def q_click_attribution(sf_dir: str, window_min: int = 30):
@@ -5984,17 +5882,7 @@ def q_click_attribution(sf_dir: str, window_min: int = 30):
             }
         )
 
-    out_schema = pa.schema(
-        [
-            ("event_id", pa.int64()),
-            ("attributed", pa.int64()),
-            ("gap_us", pa.int64()),
-        ]
-    )
-
     def resolve(group: pa.Table) -> pa.Table:
-        if group.num_rows == 0 or "ts_us" not in group.column_names:
-            return out_schema.empty_table()
         t = group.sort_by(
             [
                 ("user_id", "ascending"),
@@ -6023,11 +5911,7 @@ def q_click_attribution(sf_dir: str, window_min: int = 30):
             }
         )
 
-    return (
-        ds.map_batches(prep, batch_format="pyarrow")
-        .groupby("__bucket", num_partitions=8)
-        .map_groups(resolve, batch_format="pyarrow")
-    )
+    return bucket_map_groups(ds.map_batches(prep, batch_format="pyarrow"), "__bucket", resolve)
 
 
 def q_source_drift(sf_dir: str, n_buckets: int = 1024):
@@ -6142,7 +6026,6 @@ def q_event_funnel(sf_dir: str):
         ev = _events_ts_us(sf_dir, event_type)
         tagged = lookup_join_auto(
             ev, prev, "user_id", "user_id", "anchor", "anchor",
-            num_buckets=32, num_partitions=8,
         )
         after = tagged.map_batches(
             lambda b: b.filter(
@@ -6178,7 +6061,6 @@ def q_cohort_retention(sf_dir: str):
     activity branch re-executed per consumer: 4.2 s -> ~1 s at sf0.1.)
     Weeks are exact int64 epoch-weeks; the packed key budgets 13 bits
     for the week (valid until 2127) and guards both fields loudly."""
-    import pandas as pd
 
     WEEK_US = 7 * 86400 * 1_000_000
     W_BITS = 13  # epoch-week < 8192 (year 2127); user_id < 2^50
@@ -6228,12 +6110,9 @@ def q_cohort_retention(sf_dir: str):
             }
         )
 
+    keyed = _events_ts_us(sf_dir).map_batches(key_rows, batch_format="pyarrow")
     out = (
-        _events_ts_us(sf_dir)
-        .map_batches(key_rows, batch_format="pyarrow")
-        .repartition(16)
-        .groupby("__bucket", num_partitions=16)
-        .map_groups(grid_partials, batch_format="pyarrow")
+        bucket_map_groups(keyed, "__bucket", grid_partials, coalesce=16)
         .groupby(["cohort_week", "week_offset"])
         .aggregate(Sum("n"))  # bounded: <= buckets x weeks^2 partials
         .to_pandas()
@@ -6520,7 +6399,7 @@ def q_pagerank(sf_dir: str):
         ranks = (
             ranks.map_batches(contributions, batch_format="pyarrow")
             .union(docs.map_batches(zero_inflow, batch_format="pyarrow"))
-            .groupby("doc_id", num_partitions=8)
+            .groupby("doc_id")
             .aggregate(Sum("inc"))
             .map_batches(damp, batch_format="pyarrow")
         )
@@ -6581,7 +6460,7 @@ def q_customer_ntile(sf_dir: str):
             }
         )
 
-    return cust.groupby("c_nationkey", num_partitions=4).map_groups(
+    return cust.groupby("c_nationkey").map_groups(
         ntile, batch_format="pyarrow"
     )
 
@@ -6639,7 +6518,7 @@ def q_graph_triangles(sf_dir: str):
     # edge set would persist as bucket-partitioned parquet instead.
     edges = (
         docs.map_batches(gen_edges, batch_format="pyarrow")
-        .groupby(["lo", "hi"], num_partitions=8)
+        .groupby(["lo", "hi"])
         .aggregate(Count())
         .drop_columns(["count()"])
         .materialize()
@@ -6648,8 +6527,8 @@ def q_graph_triangles(sf_dir: str):
     NB = 32
 
     def wedges(group: pa.Table) -> pa.Table:
-        # group = all canonical edges with the same lo (possibly several
-        # lo runs per call under num_partitions); emit triu pairs per run
+        # group = all canonical edges with the same lo; emit triu pairs
+        # per lo run
         t = group.sort_by([("lo", "ascending"), ("hi", "ascending")])
         lo = t.column("lo").to_numpy(zero_copy_only=False)
         hi = t.column("hi").to_numpy(zero_copy_only=False)
@@ -6684,7 +6563,7 @@ def q_graph_triangles(sf_dir: str):
             }
         )
 
-    wedge_rows = edges.groupby("lo", num_partitions=8).map_groups(
+    wedge_rows = edges.groupby("lo").map_groups(
         wedges, batch_format="pyarrow"
     )
 
@@ -6735,15 +6614,11 @@ def q_graph_triangles(sf_dir: str):
         )
 
     tagged = wedge_rows.union(edges.map_batches(tag_edges, batch_format="pyarrow"))
-    partials = (
-        tagged.map_batches(add_bucket, batch_format="pyarrow")
-        .groupby("__bucket", num_partitions=8)
-        .map_groups(
-            lambda g: intersect(g.drop_columns(["__bucket"])), batch_format="pyarrow"
-        )
+    partials = bucket_map_groups(
+        tagged.map_batches(add_bucket, batch_format="pyarrow"), "__bucket", intersect
     )
     return (
-        partials.groupby("doc_id", num_partitions=4)
+        partials.groupby("doc_id")
         .aggregate(Sum("part"))
         .map_batches(
             lambda b: _rename(b, {"sum(part)": "n_triangles"}), batch_format="pyarrow"
@@ -6906,19 +6781,8 @@ def q_graph_components(sf_dir: str):
             "__bucket", pa.array((key % NB).astype(np.int32), pa.int32())
         )
 
-    _EMPTY = pa.table(
-        {
-            "node": pa.array([], pa.int64()),
-            "other": pa.array([], pa.int64()),
-            "lbl": pa.array([], pa.int64()),
-            "__bucket": pa.array([], pa.int32()),
-        }
-    )
-
     def step(g: pa.Table) -> pa.Table:
         node = g.column("node").to_numpy(zero_copy_only=False)
-        if not len(node):
-            return _EMPTY
         other = g.column("other").to_numpy(zero_copy_only=False)
         lbl = g.column("lbl").to_numpy(zero_copy_only=False)
         is_edge = lbl < 0
@@ -6951,11 +6815,8 @@ def q_graph_components(sf_dir: str):
     )
     prev_sum = None
     while True:
-        state = (
-            state.groupby("__bucket", num_partitions=8)
-            .map_groups(step, batch_format="pyarrow")
-            .materialize()  # consumed twice: fixpoint test + next round
-        )
+        # consumed twice: fixpoint test + next round
+        state = bucket_map_groups(state, "__bucket", step).materialize()
         s = state.aggregate(Sum("lbl"))["sum(lbl)"]
         if s == prev_sum:
             break
@@ -6976,9 +6837,7 @@ def q_graph_components(sf_dir: str):
             }
         )
 
-    return state.groupby("__bucket", num_partitions=8).map_groups(
-        resolve, batch_format="pyarrow"
-    )
+    return bucket_map_groups(state, "__bucket", resolve)
 
 
 def q_snapshot_diff(sf_dir: str):
@@ -7041,7 +6900,7 @@ def q_snapshot_diff(sf_dir: str):
 
     return (
         docs.map_batches(tag, batch_format="pyarrow")
-        .groupby("doc_id", num_partitions=8)
+        .groupby("doc_id")
         .aggregate(Count(), Sum("side"), Sum("d"))
         .map_batches(classify, batch_format="pyarrow")
     )
@@ -7101,7 +6960,7 @@ def q_ocr_spell_candidates(sf_dir: str):
     vocab = (
         _docs(sf_dir, columns=["doc_id", "text"])
         .map_batches(term_counts, batch_format="pyarrow")
-        .groupby("term", num_partitions=4)
+        .groupby("term")
         .aggregate(Sum("cnt"))
     )
 
@@ -7171,12 +7030,8 @@ def q_ocr_spell_candidates(sf_dir: str):
             }
         )
 
-    pairs = (
-        vocab.map_batches(emit_keys, batch_format="pyarrow")
-        .groupby("__bucket", num_partitions=8)
-        .map_groups(
-            lambda g: verify(g.drop_columns(["__bucket"])), batch_format="pyarrow"
-        )
+    pairs = bucket_map_groups(
+        vocab.map_batches(emit_keys, batch_format="pyarrow"), "__bucket", verify
     )
     # the same pair can surface from several deletion keys/buckets
     return keep_min_by(

@@ -28,6 +28,7 @@ from ray.data.aggregate import Count
 
 from ..functions.arrow_util import bucket_ids
 from ..functions.arrow_util import single_chunk as _single_chunk
+from .joins import bucket_map_groups
 
 # ---------------------------------------------------------------------------
 # as-of join
@@ -65,7 +66,6 @@ def asof_join(
     value_col: str,
     out_col: str,
     num_buckets: int = 32,
-    num_partitions: int = 8,
 ) -> rd.Dataset:
     """Backward as-of LEFT join: fill ``out_col`` on every left row with
     the right ``value_col`` whose (key, ts) is the latest at-or-before
@@ -128,13 +128,12 @@ def asof_join(
         right.map_batches(tag_right, batch_format="pyarrow")
     )
 
+    out_schema = pa.schema(
+        [left_schema.field(c) for c in left_names] + [pa.field(out_col, val_type)]
+    )
+
     def resolve(group: pa.Table) -> pa.Table:
         n = group.num_rows
-        out_schema = pa.schema(
-            [left_schema.field(c) for c in left_names] + [pa.field(out_col, val_type)]
-        )
-        if n == 0:
-            return out_schema.empty_table()
         key = group.column("__key").to_numpy(zero_copy_only=False)
         ts = group.column("__ts").to_numpy(zero_copy_only=False)
         side = group.column("__side").to_numpy(zero_copy_only=False)
@@ -171,9 +170,7 @@ def asof_join(
             schema=out_schema,
         )
 
-    return tagged.groupby("__bucket", num_partitions=num_partitions).map_groups(
-        resolve, batch_format="pyarrow"
-    )
+    return bucket_map_groups(tagged, "__bucket", resolve)
 
 
 # ---------------------------------------------------------------------------
@@ -268,7 +265,6 @@ def pack_sequences(
     order_col: str,
     size_col: str,
     budget: int,
-    num_partitions: int = 8,
 ) -> rd.Dataset:
     """Greedy in-order sequence packing — the operator a training
     pipeline runs to pack token-counted documents into fixed-budget
@@ -318,9 +314,7 @@ def pack_sequences(
             # seq_id restarts at 0 for each group
         return g.append_column("seq_id", pa.array(seq, pa.int64()))
 
-    return ds.groupby(group_col, num_partitions=num_partitions).map_groups(
-        pack, batch_format="pyarrow"
-    )
+    return ds.groupby(group_col).map_groups(pack, batch_format="pyarrow")
 
 
 # ---------------------------------------------------------------------------
@@ -364,8 +358,6 @@ def grouped_sum_i64(
     ds: rd.Dataset,
     key_col: str,
     val_cols: list[str],
-    num_buckets: int = 16,
-    num_partitions: int = 16,
 ) -> rd.Dataset:
     """Exact int64 SUM per integer key — the bucketed map_groups
     replacement for ``groupby(key).aggregate(Sum(...))`` on fact-sized
@@ -390,20 +382,12 @@ def grouped_sum_i64(
             np.add.at(acc, inv, vals)
             cols[v] = pa.array(acc, pa.int64())
         if tag_bucket:
-            with np.errstate(over="ignore"):
-                bk = (
-                    (keys.astype(np.uint64) * np.uint64(0x9E3779B97F4A7C15))
-                    >> np.uint64(40)
-                ) % np.uint64(num_buckets)
-            cols["__bucket"] = pa.array(bk.astype(np.int32), pa.int32())
+            cols["__bucket"] = pa.array(bucket_ids(cols[key_col], 16), pa.int32())
         return pa.table(cols)
 
-    return (
-        ds.map_batches(lambda b: _fold(b, True), batch_format="pyarrow")
-        .repartition(num_partitions)
-        .groupby("__bucket", num_partitions=num_partitions)
-        .map_groups(
-            lambda g: _fold(g.drop_columns(["__bucket"]), False),
-            batch_format="pyarrow",
-        )
+    return bucket_map_groups(
+        ds.map_batches(lambda b: _fold(b, True), batch_format="pyarrow"),
+        "__bucket",
+        lambda g: _fold(g, False),
+        coalesce=16,
     )

@@ -16,9 +16,12 @@ from __future__ import annotations
 
 import numpy as np
 import pyarrow as pa
+from ..functions.arrow_util import bucket_ids
 from ..functions.arrow_util import single_chunk as _single_chunk
 import ray
 import ray.data as rd
+
+from .joins import bucket_map_groups
 
 
 
@@ -318,7 +321,6 @@ def knn_self_join(
     strategy: str = "auto",
     n_centroids: int = 64,
     nprobe: int = 8,
-    num_partitions: int = 16,
     payload: str = "f32",
 ) -> rd.Dataset:
     """All-pairs k-NN over the corpus itself.
@@ -337,8 +339,7 @@ def knn_self_join(
     if strategy == "cells":
         return knn_self_join_cells(
             ds, k, emb_col, id_col,
-            n_centroids=n_centroids, nprobe=nprobe,
-            num_partitions=num_partitions, payload=payload,
+            n_centroids=n_centroids, nprobe=nprobe, payload=payload,
         )
     if strategy != "broadcast":
         raise ValueError(f"unknown knn strategy {strategy!r}")
@@ -386,7 +387,6 @@ def knn_self_join_cells(
     n_centroids: int = 64,
     nprobe: int = 8,
     centroids: np.ndarray | None = None,
-    num_partitions: int = 16,
     query_chunk: int = 4096,
     payload: str = "f32",
 ) -> rd.Dataset:
@@ -496,10 +496,7 @@ def knn_self_join_cells(
         [(id_col, id_type), ("neighbor_id", id_type), ("cos_sim", pa.float64())]
     )
 
-    def cell_knn(group: pa.Table) -> pa.Table:
-        if group.num_rows == 0 or "__side" not in group.column_names:
-            return out_schema.empty_table()
-        t = group
+    def cell_knn(t: pa.Table) -> pa.Table:
         side = t.column("__side").to_numpy(zero_copy_only=False)
         m = _matrix(t, "u")
         if payload == "f32":
@@ -529,26 +526,18 @@ def knn_self_join_cells(
             )
         return pa.concat_tables(outs)
 
-    partials = (
-        ds.map_batches(fan_out, batch_format="pyarrow")
-        .groupby("__cell", num_partitions=min(n_centroids, 32))
-        .map_groups(cell_knn, batch_format="pyarrow")
+    partials = bucket_map_groups(
+        ds.map_batches(fan_out, batch_format="pyarrow"), "__cell", cell_knn
     )
 
     def add_qbucket(b: pa.Table) -> pa.Table:
         if b.num_rows == 0 or id_col not in b.column_names:
             return out_schema.append(pa.field("__qb", pa.int32())).empty_table()
-        ids = b.column(id_col).to_numpy(zero_copy_only=False).astype(np.int64)
-        with np.errstate(over="ignore"):
-            mixed = (ids.astype(np.uint64) * np.uint64(0x9E3779B97F4A7C15)) >> np.uint64(40)
-        return b.append_column(
-            "__qb", pa.array((mixed % np.uint64(num_partitions)).astype(np.int32), pa.int32())
-        )
+        bk = bucket_ids(_single_chunk(b.column(id_col)), 16)
+        return b.append_column("__qb", pa.array(bk, pa.int32()))
 
     def merge_topk(group: pa.Table) -> pa.Table:
-        if group.num_rows == 0 or id_col not in group.column_names:
-            return out_schema.empty_table()
-        t = group.drop_columns(["__qb"]).sort_by(
+        t = group.sort_by(
             [(id_col, "ascending"), ("cos_sim", "descending"),
              ("neighbor_id", "ascending")]
         )
@@ -559,10 +548,8 @@ def knn_self_join_cells(
         rank = np.arange(len(ids)) - starts[run_of]
         return t.filter(pa.array(rank < k))
 
-    return (
-        partials.map_batches(add_qbucket, batch_format="pyarrow")
-        .groupby("__qb", num_partitions=num_partitions)
-        .map_groups(merge_topk, batch_format="pyarrow")
+    return bucket_map_groups(
+        partials.map_batches(add_qbucket, batch_format="pyarrow"), "__qb", merge_topk
     )
 
 
@@ -609,12 +596,14 @@ def build_ivf_index(
 
     def assign(batch: pa.Table) -> pa.Table:
         m = _unit(_matrix(batch, emb_col))
-        cells = (m @ ray.get(cent_ref).T).argmax(axis=1).astype(np.int32)
-        return batch.append_column("__cell", pa.array(cells, pa.int32()))
+        cells = pa.array((m @ ray.get(cent_ref).T).argmax(axis=1).astype(np.int32))
+        # the writer needs the cell id, and recomputing it from a single
+        # row's matmul may round differently near a centroid tie
+        return batch.append_column("__cell_id", cells).append_column("__cell", cells)
 
     def write_cell(group: pa.Table) -> pa.Table:
-        cell = int(group.column("__cell")[0].as_py())
-        t = group.drop_columns(["__cell"])
+        cell = int(group.column("__cell_id")[0].as_py())
+        t = group.drop_columns(["__cell_id"])
         cell_dir = os.path.join(out_dir, f"cell={cell:04d}")
         os.makedirs(cell_dir, exist_ok=True)
         n_files = 0
@@ -628,12 +617,9 @@ def build_ivf_index(
                          "rows": pa.array([t.num_rows], pa.int64()),
                          "files": pa.array([n_files], pa.int32())})
 
-    manifest = (
-        ds.map_batches(assign, batch_format="pyarrow")
-        .groupby("__cell", num_partitions=min(n_centroids, 32))
-        .map_groups(write_cell, batch_format="pyarrow")
-        .to_pandas()
-    )
+    manifest = bucket_map_groups(
+        ds.map_batches(assign, batch_format="pyarrow"), "__cell", write_cell
+    ).to_pandas()
     np.save(os.path.join(out_dir, "centroids.npy"), centroids)
     tmp = os.path.join(out_dir, f".cells.json.tmp-{os.getpid()}")
     manifest.to_json(tmp, orient="records")

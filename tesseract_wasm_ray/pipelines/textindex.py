@@ -39,6 +39,7 @@ import ray.data as rd
 
 from ..functions.arrow_util import single_chunk as _single_chunk
 from ..functions.textstats import _tokens
+from .joins import bucket_map_groups
 
 
 def doc_term_freqs(
@@ -118,10 +119,8 @@ def build_text_index(
         )
 
     def write_bucket(group: pa.Table) -> pa.Table:
-        bucket = int(group.column("__bucket")[0].as_py())
-        t = group.drop_columns(["__bucket"]).sort_by(
-            [("term", "ascending"), (id_col, "ascending")]
-        )
+        bucket = int(term_bucket(group.column("term").slice(0, 1), num_buckets)[0])
+        t = group.sort_by([("term", "ascending"), (id_col, "ascending")])
         bdir = os.path.join(out_dir, f"bucket={bucket:04d}")
         os.makedirs(bdir, exist_ok=True)
         n_files = 0
@@ -142,12 +141,9 @@ def build_text_index(
             }
         )
 
-    entries = (
-        ds.map_batches(to_postings, batch_format="pyarrow")
-        .groupby("__bucket", num_partitions=min(num_buckets, 32))
-        .map_groups(write_bucket, batch_format="pyarrow")
-        .take_all()
-    )
+    entries = bucket_map_groups(
+        ds.map_batches(to_postings, batch_format="pyarrow"), "__bucket", write_bucket
+    ).take_all()
 
     # Corpus stats for BM25, both free: total token count == the sum of
     # tf over all postings (each bucket writer reports its share — no

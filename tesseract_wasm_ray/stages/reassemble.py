@@ -87,10 +87,9 @@ def _chunk(col: pa.ChunkedArray | pa.Array) -> pa.Array:
 
 def reassemble(span_rows, num_buckets: int = 64):
     """span rows Dataset -> documents Dataset (the one wide shuffle)."""
+    from ..pipelines.joins import bucket_map_groups
+
     bucketed = span_rows.map_batches(
         add_bucket_column(num_buckets), batch_format="pyarrow"
     )
-    return bucketed.groupby("bucket").map_groups(
-        lambda g: stitch_bucket(g.drop_columns(["bucket"])),
-        batch_format="pyarrow",
-    )
+    return bucket_map_groups(bucketed, "bucket", stitch_bucket)

@@ -30,9 +30,7 @@ from tesseract_wasm_ray.stages.ocr_actor import OcrActor
 
 
 def _cfg():
-    return ExtractConfig(
-        ocr_concurrency=2, ocr_batch_size=32, num_buckets=8, join_partitions=4
-    )
+    return ExtractConfig(ocr_concurrency=2, ocr_batch_size=32, num_buckets=8)
 
 
 def _read_dir(path: str) -> pa.Table:
@@ -161,7 +159,7 @@ class TracingOcr(ex.OcrActor):
 
 ex.OcrActor = TracingOcr
 cfg = ex.ExtractConfig(ocr_concurrency=1, ocr_batch_size=32, num_buckets=8,
-                       join_partitions=4, on_error="raise")
+                       on_error="raise")
 try:
     ex.run_extract(docs, media, cfg, out_dir=out, resume=False)
     result = {"raised": False}

@@ -131,7 +131,7 @@ def test_ngram_jaccard_dedup_exact_verification(corpus_ds):
 
     kept = set(
         ngram_jaccard_dedup(
-            corpus_ds, threshold=0.6, num_buckets=8, join_partitions=4
+            corpus_ds, threshold=0.6, num_buckets=8
         ).to_pandas()["doc_id"]
     )
     assert {1000, 1001, 2000, 2001}.isdisjoint(kept)
@@ -259,7 +259,7 @@ def test_ngram_dedup_no_duplicates_corpus(ray_session):
     rng = np.random.default_rng(17)
     rows = [{"doc_id": i, "text": _text(rng, 30)} for i in range(40)]
     ds = rd.from_arrow(pa.Table.from_pylist(rows))
-    kept = ngram_jaccard_dedup(ds, threshold=0.8, num_buckets=8, join_partitions=4)
+    kept = ngram_jaccard_dedup(ds, threshold=0.8, num_buckets=8)
     assert kept.count() == 40
 
 

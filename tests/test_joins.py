@@ -1,5 +1,6 @@
 """bucket_lookup_join: left-outer lookup semantics, tie-breaks,
-key-type coverage, and determinism across partition counts."""
+key-type coverage, and determinism across bucket counts; and the
+bucket shuffle under it, ``bucket_map_groups``."""
 
 import numpy as np
 import pyarrow as pa
@@ -46,8 +47,8 @@ def test_determinism_across_partitioning(ray_session):
     rng = np.random.default_rng(5)
     left = [{"id": int(i)} for i in rng.permutation(200)]
     right = [{"k": int(i), "v": int(i) * 7} for i in range(0, 200, 3)]
-    a = _run(left, right, "id", "k", "v", "v7", num_buckets=8, num_partitions=2)
-    b = _run(left, right, "id", "k", "v", "v7", num_buckets=64, num_partitions=16)
+    a = _run(left, right, "id", "k", "v", "v7", num_buckets=8)
+    b = _run(left, right, "id", "k", "v", "v7", num_buckets=64)
     a = a.sort_values("id").reset_index(drop=True)
     b = b.sort_values("id").reset_index(drop=True)
     assert a.equals(b)
@@ -137,3 +138,49 @@ def test_bucket_ids_match_reference():
 
     assert len(bucket_ids(pa.array([], pa.string()), n)) == 0
     assert len(bucket_ids(pa.chunked_array([], pa.int64()), n)) == 0
+
+
+def _tagged(n_rows, n_buckets, blocks):
+    import ray.data as rd
+
+    from tesseract_wasm_ray.functions.arrow_util import bucket_ids
+
+    def tag(b: pa.Table) -> pa.Table:
+        return b.append_column("__b", pa.array(bucket_ids(b.column("id"), n_buckets)))
+
+    return rd.range(n_rows, override_num_blocks=blocks).map_batches(
+        tag, batch_format="pyarrow"
+    )
+
+
+@pytest.mark.parametrize("coalesce", [None, 3])
+def test_bucket_map_groups_one_call_per_bucket(ray_session, coalesce):
+    """Each ``fn`` call gets exactly one bucket's rows, without the tag
+    column, and every input row reaches exactly one call."""
+    from tesseract_wasm_ray.functions.arrow_util import bucket_ids
+    from tesseract_wasm_ray.pipelines.joins import bucket_map_groups
+
+    def summarize(g: pa.Table) -> pa.Table:
+        return pa.table(
+            {
+                "bucket": [int(bucket_ids(g.column("id"), 7)[0])],
+                "n_buckets": [len(np.unique(bucket_ids(g.column("id"), 7)))],
+                "columns": [",".join(g.column_names)],
+                "ids": [g.column("id").to_pylist()],
+            }
+        )
+
+    out = bucket_map_groups(_tagged(300, 7, 8), "__b", summarize, coalesce).to_pandas()
+    assert sorted(out["bucket"]) == list(range(7))  # once per bucket
+    assert (out["n_buckets"] == 1).all()
+    assert (out["columns"] == "id").all()
+    ids = sorted(i for row in out["ids"] for i in row)
+    assert ids == list(range(300))
+
+
+@pytest.mark.parametrize("coalesce", [None, 4])
+def test_bucket_map_groups_empty_input(ray_session, coalesce):
+    from tesseract_wasm_ray.pipelines.joins import bucket_map_groups
+
+    empty = _tagged(50, 7, 4).map_batches(lambda b: b.slice(0, 0), batch_format="pyarrow")
+    assert bucket_map_groups(empty, "__b", lambda g: g, coalesce).count() == 0

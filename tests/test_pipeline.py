@@ -19,7 +19,7 @@ from tesseract_wasm_ray.schema import SPAN_ROWS_SCHEMA
 
 
 def _cfg():
-    return ExtractConfig(ocr_concurrency=2, ocr_batch_size=32, num_buckets=8, join_partitions=4)
+    return ExtractConfig(ocr_concurrency=2, ocr_batch_size=32, num_buckets=8)
 
 
 def test_explode_then_stitch_roundtrip():

@@ -68,6 +68,54 @@ def test_ocr_stage_runs_as_tasks(small_corpus):
         assert [n for n in physical if "OcrActor" in n] == ["MapBatches(OcrActor)"]
 
 
+def test_run_extract_all_to_all_ops(small_corpus, tmp_path, monkeypatch):
+    """``run_extract`` crosses exactly three all-to-all operators, lazy
+    and with ``out_dir``: the coalescing ``Repartition``, the ``Sort``
+    behind the media_ref join and the ``Sort`` behind reassembly.  The
+    ``out_dir`` plan is read where it is executed, without running it."""
+    import ray.data as rd
+    from ray.data._internal.logical.operators.all_to_all_operator import AbstractAllToAll
+
+    from tesseract_wasm_ray.pipelines.extract import run_extract
+
+    def all_to_all(ds):
+        return [op.name for op in _plan(ds)[0] if isinstance(op, AbstractAllToAll)]
+
+    docs, media = small_corpus["documents"], small_corpus["media"]
+    assert all_to_all(run_extract(docs, media)) == ["Repartition", "Sort", "Sort"]
+
+    planned = []
+
+    class Planned(Exception):
+        pass
+
+    def capture(ds, *args, **kwargs):
+        planned.append(ds)
+        raise Planned
+
+    monkeypatch.setattr(rd.Dataset, "take_all", capture)
+    with pytest.raises(Planned):
+        run_extract(docs, media, out_dir=str(tmp_path / "out"))
+    assert all_to_all(planned[0]) == ["Repartition", "Sort", "Sort"]
+
+
+def test_shuffle_strategy_is_sort_based(ray_session):
+    """Every bucket shuffle relies on the sort-based strategy, which
+    makes one reducer per input block and ignores a groupby partition
+    count.  ``HASH_SHUFFLE`` would read that count instead and, with
+    none given, fall back to ``default_hash_shuffle_parallelism``."""
+    from ray.data import DataContext
+    from ray.data.context import ShuffleStrategy
+
+    from tesseract_wasm_ray.tuning import apply_data_context_tuning
+
+    apply_data_context_tuning()
+    assert DataContext.get_current().shuffle_strategy in (
+        ShuffleStrategy.SORT_SHUFFLE_PULL_BASED,
+        ShuffleStrategy.SORT_SHUFFLE_PUSH_BASED,
+    )
+
+
 def test_media_stages_run_as_tasks(ray_session):
     """The media stages are task compute with or without a
     ``concurrency`` cap (it bounds tasks, it never asks for actors)."""

@@ -30,7 +30,6 @@ def _asof(left_df, right_df, **kw):
         value_col="v",
         out_col="v",
         num_buckets=4,
-        num_partitions=2,
     )
     defaults.update(kw)
     out = asof_join(left, right, **defaults).to_pandas()

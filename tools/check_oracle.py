@@ -10,8 +10,10 @@ value hash (md5 over float BITS, not displayed digits) is identical on
 every run — the determinism gate for float-aggregate queries whose
 block order Ray does not fix (VERDICT r03 item 1).
 
-Each result line ends with the query's wall seconds (first run), so a
-run without names is also the catalogue timing sweep."""
+Each ``OK`` line carries the first 12 hex digits of the query's value
+hash, so two commits' outputs diff line by line, and ends with the
+query's wall seconds (first run), so a run without names is also the
+catalogue timing sweep."""
 
 from __future__ import annotations
 
@@ -124,8 +126,12 @@ def main() -> int:
             print(f"[FAIL-run ] {name}: {type(ex).__name__}: {ex}")
             continue
         dt = time.monotonic() - t0
+        h0 = value_hash(got)
         if name not in oracles:
-            print(f"[rows-only] {name}: {len(got)} rows, cols={list(got.columns)} ({dt:.1f}s)")
+            print(
+                f"[rows-only] {name}: {len(got)} rows, cols={list(got.columns)}, "
+                f"hash {h0[:12]} ({dt:.1f}s)"
+            )
             continue
         raw_want = con.sql(oracles[name]).df()
         want = canon(raw_want)
@@ -150,7 +156,7 @@ def main() -> int:
             print(f"[FAIL-vals] {name}: {str(ex).splitlines()[-1]}")
             continue
         if repeat > 1:
-            h0, stable = value_hash(got), True
+            stable = True
             for _ in range(repeat - 1):
                 hi = value_hash(canon(to_pandas(fn(sf_dir))))
                 if hi != h0:
@@ -162,10 +168,10 @@ def main() -> int:
                 continue
             print(
                 f"[OK x{repeat:<4}] {name}: {len(got)} rows match oracle, "
-                f"hash bit-stable ({dt:.1f}s)"
+                f"hash {h0[:12]} bit-stable ({dt:.1f}s)"
             )
             continue
-        print(f"[OK       ] {name}: {len(got)} rows match oracle ({dt:.1f}s)")
+        print(f"[OK       ] {name}: {len(got)} rows match oracle, hash {h0[:12]} ({dt:.1f}s)")
     print(f"\n{len(failures)} failures: {failures}" if failures else "\nall checks passed")
     return 1 if failures else 0
 

@@ -73,7 +73,6 @@ def _config(num_cpus: int, ocr_batch_size: int) -> ExtractConfig:
     return ExtractConfig(
         ocr_batch_size=ocr_batch_size,
         num_buckets=max(32, num_cpus * 2),
-        join_partitions=max(8, num_cpus // 2),
         coalesce_partitions=max(8, num_cpus // 2),
     )
 
