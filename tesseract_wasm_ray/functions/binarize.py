@@ -23,14 +23,10 @@ def to_gray(img: np.ndarray) -> np.ndarray:
     raise ValueError(f"unsupported image shape {img.shape}")
 
 
-def otsu_threshold(gray: np.ndarray) -> int:
-    """Otsu's threshold t: pixels < t are ink (foreground)."""
-    hist = np.bincount(gray.ravel(), minlength=256).astype(np.float64)
-    total = hist.sum()
-    if total == 0:
-        return 128
-    w0 = np.cumsum(hist)                         # class-0 mass for t = 0..255
-    mu = np.cumsum(hist * np.arange(256))        # class-0 first moment
+def otsu_threshold(w0: np.ndarray, mu: np.ndarray) -> int:
+    """Otsu's threshold t from the cumulative histogram: ``w0[v]`` pixels
+    have value <= v, with value sum ``mu[v]``.  Pixels < t are ink."""
+    total = w0[-1]
     w1 = total - w0
     with np.errstate(divide="ignore", invalid="ignore"):
         m0 = mu / w0
@@ -41,27 +37,38 @@ def otsu_threshold(gray: np.ndarray) -> int:
     return int(np.argmax(between)) + 1
 
 
+_LEVELS = np.arange(256, dtype=np.uint8)
+
+
 def binarize(img: np.ndarray) -> np.ndarray:
     """Image -> bool ink mask (True = ink). Dark-on-light assumed; if the
-    page is inverted (more ink than background), flip so ink is minority."""
+    page is inverted (more ink than background), flip so ink is minority.
+
+    Every statistic after the threshold comes from the 256-bin
+    histogram, not another pass over the pixels.  Its sums are exact
+    integers in float64, so each equals the pixel-wise mean it stands
+    for bit for bit."""
     gray = to_gray(img)
     if gray.size == 0:
         return np.zeros_like(gray, dtype=bool)
-    t = otsu_threshold(gray)
-    ink = gray < t
+    hist = np.bincount(gray.ravel(), minlength=256).astype(np.float64)
     # Degenerate page (uniform): no ink.
-    if gray.min() == gray.max():
-        return np.zeros_like(ink)
+    if np.count_nonzero(hist) == 1:
+        return np.zeros(gray.shape, bool)
+    w0 = np.cumsum(hist)                         # pixels <= v
+    mu = np.cumsum(hist * np.arange(256))        # their value sum
+    t = otsu_threshold(w0, mu)
+    size, n_ink = w0[-1], w0[t - 1]
     # Bimodality check: a real ink/background split leaves a sparsely
     # populated band between the two class means; a unimodal page (blank
     # with sensor noise) does not — treat it as blank rather than
     # hallucinating ink.
-    m0 = float(gray[ink].mean()) if ink.any() else 0.0
-    m1 = float(gray[~ink].mean()) if (~ink).any() else 255.0
+    m0 = float(mu[t - 1] / n_ink) if n_ink else 0.0
+    m1 = float((mu[-1] - mu[t - 1]) / (size - n_ink)) if size > n_ink else 255.0
     lo, hi = m0 + 0.3 * (m1 - m0), m1 - 0.3 * (m1 - m0)
-    mid = (gray >= lo) & (gray <= hi)
-    if mid.mean() > 0.05:
-        return np.zeros_like(ink)
-    if ink.mean() > 0.5:
+    if hist[(_LEVELS >= lo) & (_LEVELS <= hi)].sum() / size > 0.05:
+        return np.zeros(gray.shape, bool)
+    ink = gray < t
+    if n_ink / size > 0.5:
         ink = ~ink
     return ink

@@ -27,69 +27,50 @@ class Rect:
     bottom: int
 
 
-def _runs(mask: np.ndarray) -> list[tuple[int, int]]:
-    """Maximal runs of True in a 1-D bool array as [start, end) pairs."""
-    if mask.size == 0 or not mask.any():
-        return []
-    d = np.diff(mask.view(np.int8), prepend=np.int8(0), append=np.int8(0))
-    starts = np.flatnonzero(d == 1)
-    ends = np.flatnonzero(d == -1)
-    return list(zip(starts.tolist(), ends.tolist()))
-
-
-def _span(mask: np.ndarray) -> tuple[int, int]:
-    """[first_true, last_true+1) of a 1-D bool mask (assumes any True)."""
-    first = int(mask.argmax())
-    last = int(len(mask) - mask[::-1].argmax())
-    return first, last
-
-
-def segment_lines(ink: np.ndarray) -> list[Rect]:
-    """Row-projection line bands, tight on both axes."""
-    rows = ink.any(axis=1)
-    out = []
-    for y0, y1 in _runs(rows):
-        cols = ink[y0:y1].any(axis=0)
-        if cols.any():
-            x0, x1 = _span(cols)
-            out.append(Rect(x0, int(y0), x1, int(y1)))
-    return out
-
-
-def segment_words(ink: np.ndarray, line: Rect, scale: int | None = None) -> list[Rect]:
-    """Column-projection word boxes within a line band.
-
-    Word gaps are >= 4*scale blank columns, intra-word (glyph pitch) gaps
-    exactly 1*scale (raster.py geometry).  If ``scale`` is unknown it is
-    estimated from the line height (7 glyph rows per line).
-    """
-    band = ink[line.top : line.bottom, line.left : line.right]
-    cols = band.any(axis=0)
-    if scale is None:
-        scale = max(1, round((line.bottom - line.top) / 7))
-    gap_thresh = 2 * scale  # blank runs >= this split words
-    col_runs = _runs(cols)
-    if not col_runs:
-        return []
-    words: list[Rect] = []
-    cur_start, cur_end = col_runs[0]
-    for s, e in col_runs[1:]:
-        if s - cur_end >= gap_thresh:
-            words.append(_word_rect(band, line, cur_start, cur_end))
-            cur_start, cur_end = s, e
-        else:
-            cur_end = e
-    words.append(_word_rect(band, line, cur_start, cur_end))
-    return words
-
-
-def _word_rect(band: np.ndarray, line: Rect, x0: int, x1: int) -> Rect:
-    y0, y1 = _span(band[:, x0:x1].any(axis=1))
-    return Rect(line.left + x0, line.top + y0, line.left + x1, line.top + y1)
+def _runs(mask: np.ndarray) -> tuple[tuple[np.ndarray, ...], tuple[np.ndarray, ...]]:
+    """Maximal runs of True along the last axis of a bool array ->
+    (starts, ends) as ``np.nonzero``-style index tuples, row-major; a
+    run covers [start, end) of its row."""
+    padded = np.zeros(mask.shape[:-1] + (mask.shape[-1] + 2,), bool)
+    padded[..., 1:-1] = mask
+    edges = np.nonzero(padded[..., 1:] != padded[..., :-1])
+    return tuple(e[::2] for e in edges), tuple(e[1::2] for e in edges)
 
 
 def analyze_layout(ink: np.ndarray) -> tuple[list[Rect], list[list[Rect]]]:
-    """-> (line rects, per-line word rects)."""
-    lines = segment_lines(ink)
-    words = [segment_words(ink, ln) for ln in lines]
+    """-> (line rects, per-line word rects).
+
+    Line bands are the row-projection runs, tight on both axes.  Word
+    boxes are the column-projection runs of each band, merged where the
+    blank gap between them is under ``2*scale``: word gaps are >=
+    4*scale blank columns, intra-word (glyph pitch) gaps exactly
+    1*scale (raster.py geometry), and ``scale`` is the band height over
+    the 7 glyph rows.  Runs and merges are found for the whole page at
+    once, and each band takes its words' row spans in one pass.
+    """
+    ((y0,), (y1,)) = _runs(ink.any(axis=1))
+    if not len(y0):
+        return [], []
+    # Column projection of every band: the reduceat segments
+    # [y0_i, y0_i+1) add only blank rows to band i.
+    (band, starts), (_, ends) = _runs(np.logical_or.reduceat(ink, y0, axis=0))
+    scale = np.maximum(1, np.rint((y1 - y0) / 7))
+    new_word = (band[1:] != band[:-1]) | (starts[1:] - ends[:-1] >= 2 * scale[band[1:]])
+    head = np.flatnonzero(np.concatenate(([True], new_word)))
+    per_band = np.bincount(band[head], minlength=len(y0)).tolist()
+    x0 = starts[head].tolist()
+    x1 = ends[np.append(head[1:] - 1, len(starts) - 1)].tolist()
+    lines: list[Rect] = []
+    words: list[list[Rect]] = []
+    k = 0
+    for top, bottom, n in zip(y0.tolist(), y1.tolist(), per_band):
+        left, right = x0[k : k + n], x1[k : k + n]
+        k += n
+        lines.append(Rect(left[0], top, right[-1], bottom))
+        # Row projection of every word: the segments [x0_i, x0_i+1)
+        # add only blank columns to word i.
+        rows = np.logical_or.reduceat(ink[top:bottom], left, axis=1)
+        wy0 = (top + rows.argmax(axis=0)).tolist()
+        wy1 = (bottom - rows[::-1].argmax(axis=0)).tolist()
+        words.append([Rect(*r) for r in zip(left, wy0, right, wy1)])
     return lines, words

@@ -63,10 +63,7 @@ def _axis_probe_order(ink: np.ndarray) -> tuple[int, int, int, int]:
         # Number of ink runs (speck-tolerant: a row/col needs >= 2
         # inked pixels to count).
         mask = counts >= 2
-        if not mask.any():
-            return 0
-        d = np.diff(mask.view(np.int8), prepend=np.int8(0))
-        return int((d == 1).sum())
+        return int(mask[0]) + int(np.count_nonzero(mask[1:] > mask[:-1]))
 
     n_rows = n_bands(ink.sum(axis=1))
     n_cols = n_bands(ink.sum(axis=0))
@@ -122,8 +119,11 @@ def detect_orientation_and_recognize(ink: np.ndarray, model: GlyphModel):
                 # rotation; the glyph block itself is what can be
                 # symmetric): IoU(crop, rot180(crop)) >= 0.98 tolerates
                 # residual binarization specks.
-                ys, xs = np.nonzero(upright)
-                crop = upright[ys.min() : ys.max() + 1, xs.min() : xs.max() + 1]
+                rows, cols = upright.any(axis=1), upright.any(axis=0)
+                crop = upright[
+                    rows.argmax() : len(rows) - rows[::-1].argmax(),
+                    cols.argmax() : len(cols) - cols[::-1].argmax(),
+                ]
                 r180 = np.rot90(crop, 2)
                 union = int(np.logical_or(crop, r180).sum())
                 iou = int(np.logical_and(crop, r180).sum()) / union if union else 0.0

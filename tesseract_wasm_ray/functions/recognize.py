@@ -15,7 +15,9 @@ produces per-word/per-line TextItems {rect, flags, confidence, text} with
 Glyph cells are closed-form slices of the word box (GlyphModel invariants)
 and matched vectorized: all cells of a page are stacked into one
 [n_glyphs, 35] matrix and compared against the template bank by Hamming
-distance in a single numpy broadcast.
+distance in a single matmul; word and line confidences are grouped
+means, so a page costs a fixed handful of numpy calls per word, not per
+glyph.
 """
 
 from __future__ import annotations
@@ -41,28 +43,47 @@ class TextItem:
     text: str
 
 
-def _word_cells(ink: np.ndarray, rect: Rect, scale: int) -> np.ndarray | None:
-    """Slice a word box into its glyph cells -> bool [n, 7, 5], downsampled
-    to glyph resolution. None if the box is not grid-aligned (noise/foreign
-    marks)."""
+def _glyph_count(rect: Rect, scale: int) -> int:
+    """Glyph cells in a word box, or 0 if the box is not grid-aligned
+    (noise/foreign marks)."""
     w = rect.right - rect.left
     h = rect.bottom - rect.top
     if scale < 1 or h != GLYPH_H * scale or (w + scale) % (CHAR_PITCH * scale) != 0:
-        return None
-    n = (w + scale) // (CHAR_PITCH * scale)
-    if n < 1:
-        return None
-    box = ink[rect.top : rect.bottom, rect.left : rect.right]
-    cells = np.zeros((n, GLYPH_H, GLYPH_W), dtype=bool)
-    for i in range(n):
-        x0 = i * CHAR_PITCH * scale
-        cell = box[:, x0 : x0 + GLYPH_W * scale]
-        if scale > 1:
-            cell = (
-                cell.reshape(GLYPH_H, scale, GLYPH_W, scale).mean(axis=(1, 3)) > 0.5
-            )
-        cells[i] = cell
-    return cells
+        return 0
+    return (w + scale) // (CHAR_PITCH * scale)
+
+
+def _glyph_cells(ink: np.ndarray, rects: list[Rect], scale: int) -> np.ndarray:
+    """Grid-aligned word boxes of one line -> bool [n_glyphs, 35],
+    downsampled to glyph resolution, in reading order.
+
+    One reshape-sum for the whole line: each box is followed by one
+    inter-glyph gap of blank columns, so the boxes side by side are
+    whole cells of ``CHAR_PITCH x scale`` columns, and a glyph pixel is
+    ink when more than half of its ``scale x scale`` block is
+    (``2 * count > scale**2``, exactly ``mean > 0.5``)."""
+    gap = np.zeros((GLYPH_H * scale, scale), bool)
+    strip = np.concatenate(
+        [part for r in rects for part in (ink[r.top : r.bottom, r.left : r.right], gap)], axis=1
+    )
+    n = strip.shape[1] // (CHAR_PITCH * scale)
+    counts = strip.reshape(GLYPH_H, scale, n, CHAR_PITCH, scale)[:, :, :, :GLYPH_W]
+    cells = 2 * counts.sum(axis=(1, 4), dtype=np.int32) > scale * scale  # [7, n, 5]
+    return cells.transpose(1, 0, 2).reshape(n, GLYPH_H * GLYPH_W)
+
+
+def _run_means(values: np.ndarray, counts: list[int]) -> np.ndarray:
+    """Mean of each consecutive run of ``counts[i]`` values (0.0 for an
+    empty run), bit-identical to ``values[a:b].mean()`` per run: runs of
+    one length reduce together as the rows of one 2-D array, and a row
+    reduction keeps numpy's pairwise summation order."""
+    sizes = np.array(counts, np.int64)
+    out = np.zeros(len(sizes))
+    starts = np.cumsum(sizes) - sizes
+    for n in set(counts) - {0}:
+        sel = np.flatnonzero(sizes == n)
+        out[sel] = np.add.reduce(values[starts[sel, None] + np.arange(n)], axis=1) / n
+    return out
 
 
 def recognize_page(
@@ -88,58 +109,58 @@ def recognize_page(
     progress(20)
 
     all_cells: list[np.ndarray] = []
-    cell_counts: list[int] = []  # glyphs per word, parallel to flat word list
-    flat_words: list[tuple[int, Rect]] = []
-    for li, (line, wrects) in enumerate(zip(lines, words_per_line)):
+    cell_counts: list[int] = []  # glyphs per word, in reading order
+    for line, wrects in zip(lines, words_per_line):
         scale = max(1, round((line.bottom - line.top) / GLYPH_H))
-        for wr in wrects:
-            cells = _word_cells(ink, wr, scale)
-            if cells is None:
-                cells = np.zeros((0, GLYPH_H, GLYPH_W), dtype=bool)
-            all_cells.append(cells.reshape(-1, GLYPH_H * GLYPH_W))
-            cell_counts.append(len(cells))
-            flat_words.append((li, wr))
+        counts = [_glyph_count(wr, scale) for wr in wrects]
+        cell_counts.extend(counts)
+        aligned = [wr for wr, n in zip(wrects, counts) if n]
+        if aligned:
+            all_cells.append(_glyph_cells(ink, aligned, scale))
 
-    if all_cells and sum(cell_counts):
-        stacked = np.concatenate(all_cells, axis=0)  # [G, 35]
-        # Vectorized Hamming match against the whole template bank.
-        ham = (stacked[:, None, :] != model.flat[None, :, :]).sum(axis=2)
+    if all_cells:
+        # Hamming distance of every cell to every template as one
+        # matmul, |a| + |t| - 2 a.t: exact in float32 for 35 bits of
+        # 0/1, so argmin breaks ties as the elementwise count does.
+        a = np.concatenate(all_cells).astype(np.float32)  # [G, 35]
+        t = model.flat.astype(np.float32)
+        ham = a.sum(axis=1)[:, None] + t.sum(axis=1)[None, :] - 2.0 * (a @ t.T)
         best = ham.argmin(axis=1)
-        score = 1.0 - ham[np.arange(len(best)), best] / (GLYPH_H * GLYPH_W)
+        dist = ham[np.arange(len(best)), best].astype(np.int64)
+        score = 1.0 - dist / (GLYPH_H * GLYPH_W)
+        glyphs = "".join(np.array(list(model.charset))[best].tolist())
     else:
-        best = np.zeros(0, dtype=int)
         score = np.zeros(0)
-
-    word_items: list[TextItem] = []
-    per_line_words: dict[int, list[TextItem]] = {}
-    pos = 0
-    for (li, wr), n in zip(flat_words, cell_counts):
-        chars = "".join(model.charset[best[pos + i]] for i in range(n))
-        conf = float(score[pos : pos + n].mean()) if n else 0.0
-        item = TextItem(wr, 0, conf, chars)
-        per_line_words.setdefault(li, []).append(item)
-        pos += n
+        glyphs = ""
+    word_conf = _run_means(score, cell_counts).tolist()
+    ends = np.cumsum(cell_counts).tolist()
 
     progress(60)
-    line_items: list[TextItem] = []
-    for li, line in enumerate(lines):
-        witems = per_line_words.get(li, [])
-        if not witems:
+    word_items: list[TextItem] = []
+    line_rects: list[Rect] = []
+    line_texts: list[str] = []
+    line_counts: list[int] = []
+    k = 0
+    for line, wrects in zip(lines, words_per_line):
+        if not wrects:
             continue
         # StartOfLine / EndOfLine flags from position in line
         # (/root/reference/src/lib.cpp:308-315).
-        flagged = []
-        for wi, it in enumerate(witems):
-            flags = (START_OF_LINE if wi == 0 else 0) | (
-                END_OF_LINE if wi == len(witems) - 1 else 0
-            )
-            flagged.append(TextItem(it.rect, flags, it.confidence, it.text))
-        word_items.extend(flagged)
-        text = " ".join(it.text for it in flagged)
-        conf = float(np.mean([it.confidence for it in flagged]))
-        line_items.append(
-            TextItem(line, START_OF_LINE | END_OF_LINE, conf, text)
-        )
+        last = len(wrects) - 1
+        words = []
+        for wi, wr in enumerate(wrects):
+            flags = (START_OF_LINE if wi == 0 else 0) | (END_OF_LINE if wi == last else 0)
+            words.append(TextItem(wr, flags, word_conf[k], glyphs[ends[k] - cell_counts[k] : ends[k]]))
+            k += 1
+        word_items.extend(words)
+        line_rects.append(line)
+        line_texts.append(" ".join(it.text for it in words))
+        line_counts.append(len(words))
+    line_conf = _run_means(np.array(word_conf), line_counts).tolist()
+    line_items = [
+        TextItem(rect, START_OF_LINE | END_OF_LINE, conf, text)
+        for rect, conf, text in zip(line_rects, line_conf, line_texts)
+    ]
 
     mean_score = float(score.mean()) if score.size else 0.0
     progress(100)

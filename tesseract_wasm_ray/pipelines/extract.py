@@ -9,7 +9,8 @@ Ray-Data-first shape:
 - every stage is a ``map_batches`` over Arrow batches (zero-copy);
 - the OCR stage is a bounded pool of map TASKS over one ``OcrActor``
   instance holding the loaded glyph model, sized to the session by
-  ``ocr_pool``.  Ray reuses its task worker processes across
+  ``ocr_pool`` and to the table by ``ocr_batch`` (one even wave of
+  tasks).  Ray reuses its task worker processes across
   executions, so they stay warm between runs (the reference's
   warm worker-per-engine model, SURVEY.md §2.3) without an actor pool
   to start and kill on every run;
@@ -67,7 +68,9 @@ JOIN_BUCKETS = 128
 class ExtractConfig:
     # None: derived from the session by ocr_pool
     ocr_concurrency: int | None = None
-    ocr_batch_size: int = 256
+    # Cap on rows per OCR task; below it the batch splits the media
+    # table evenly over the pool (ocr_batch)
+    ocr_batch_size: int = 512
     num_buckets: int = 64
     # Blocks entering a sort shuffle are coalesced to this many first:
     # hundreds of tiny blocks cost ~10ms of scheduling each in the sort
@@ -98,38 +101,61 @@ def ocr_pool(concurrency: int | None = None, cpus: float | None = None) -> tuple
     ``cpus`` defaults to the session's logical CPU total.  At most
     ``concurrency`` OCR tasks run at once and together they claim at
     most ``cpus - 1``, so the read / explode tasks that feed them
-    always keep one whole CPU.  Tasks are fractional (at most 0.5, and
-    0 in a 1-CPU session) and the OS timeshares the real cores.  The
-    fractional claim also keeps the OCR operator from fusing with the
-    read before it or the map after it (fusion needs equal resources)."""
+    always keep one whole CPU.  A task claims up to the whole CPU it
+    keeps busy (0 in a 1-CPU session): a smaller claim lets the
+    scheduler start more feeding tasks than there are cores left, and
+    an OCR task fed early then crowds them out.  The concurrency cap
+    keeps the OCR operator from fusing with the read before it or the
+    map after it (a task fuses only with an equal cap)."""
     if cpus is None:
         cpus = ray.cluster_resources().get("CPU", 1) if ray.is_initialized() else os.cpu_count()
     cpus = max(1, int(cpus or 1))
     conc = concurrency or max(1, min(24, cpus * 3 // 4))
     # Ray meters fractional CPUs in 1e-4 units: round down, never up
-    return conc, min(0.5, math.floor((cpus - 1) * 10_000 / conc) / 10_000)
+    return conc, min(1.0, math.floor((cpus - 1) * 10_000 / conc) / 10_000)
+
+
+def ocr_batch(pages: int, concurrency: int, cap: int) -> int:
+    """Rows per OCR task: the table split evenly over ``concurrency``
+    tasks, so the stage runs as one wave (no task waits for a freed
+    slot, and no slot idles while a short last task finishes), capped
+    at ``cap`` rows for the worker heap on large tables."""
+    return max(1, min(cap, math.ceil(pages / concurrency)))
+
+
+def ocr_map(media: rd.Dataset, fn, pages: int, cfg: ExtractConfig) -> rd.Dataset:
+    """Run an OCR-family callable (``OcrActor``, ``LayoutActor``,
+    ``HocrActor``) over the media table as bounded map tasks, sized by
+    ``ocr_pool`` and ``ocr_batch`` from ``cfg.ocr_concurrency`` and
+    ``cfg.ocr_batch_size``.  ``pages`` is the row count of the
+    unfiltered media read (``Dataset.count()`` of a bare read comes from
+    the file metadata without running anything).
+
+    A callable INSTANCE makes task compute: no actor starts or dies per
+    execution, and Ray's pooled task workers stay warm across runs.  The
+    model is 333 bytes and the loaded instance pickles to about 3 KB, so
+    shipping it with each task is cheap."""
+    concurrency, num_cpus = ocr_pool(cfg.ocr_concurrency)
+    return media.map_batches(
+        fn,
+        batch_format="pyarrow",
+        zero_copy_batch=True,
+        batch_size=ocr_batch(pages, concurrency, cfg.ocr_batch_size),
+        concurrency=concurrency,
+        num_cpus=num_cpus,
+    )
 
 
 def ocr_media(media_path: str, cfg: ExtractConfig, emit_boxes: bool = False) -> rd.Dataset:
     """media table -> per-page OCR results (the ``MapBatches(OcrActor)``
     task stage)."""
-    return _ocr(read_media(media_path), cfg, emit_boxes)
+    media = read_media(media_path)
+    return _ocr(media, cfg, emit_boxes, media.count())
 
 
-def _ocr(media: rd.Dataset, cfg: ExtractConfig, emit_boxes: bool) -> rd.Dataset:
-    concurrency, num_cpus = ocr_pool(cfg.ocr_concurrency)
-    # A callable INSTANCE makes task compute: no actor starts or dies
-    # per execution, and Ray's pooled task workers stay warm across
-    # runs.  The model is 333 bytes and the loaded instance pickles to
-    # about 3 KB, so shipping it with each task is cheap.
-    return media.map_batches(
-        OcrActor(model_blob=cfg.model_blob, emit_boxes=emit_boxes, on_error=cfg.on_error),
-        batch_format="pyarrow",
-        zero_copy_batch=True,
-        batch_size=cfg.ocr_batch_size,
-        concurrency=concurrency,
-        num_cpus=num_cpus,
-    )
+def _ocr(media: rd.Dataset, cfg: ExtractConfig, emit_boxes: bool, pages: int) -> rd.Dataset:
+    actor = OcrActor(model_blob=cfg.model_blob, emit_boxes=emit_boxes, on_error=cfg.on_error)
+    return ocr_map(media, actor, pages, cfg)
 
 
 def _span_rows(
@@ -251,6 +277,7 @@ def _span_rows(
     )
 
     media = read_media(media_path)
+    pages = media.count()  # of the unfiltered read: file metadata only
     if skip_buckets:
         def needed_refs(b: pa.Table) -> pa.Table:
             rows = prune_done(explode_spans(b))
@@ -260,7 +287,7 @@ def _span_rows(
 
         needed = docs.map_batches(needed_refs, batch_format="pyarrow")
         media = member_filter(media, needed, "media_ref", keep=True)
-    ocr_rows = _ocr(media, cfg, emit_boxes=False).map_batches(
+    ocr_rows = _ocr(media, cfg, False, pages).map_batches(
         lambda b: pad_ocr(b.select(["media_ref", "text", "error"])),
         batch_format="pyarrow",
     )

@@ -39,6 +39,7 @@ from ..functions.textstats import (
     text_quality,
     token_count,
 )
+from ..sources import read_media
 from .dedup import (
     embedding_neardup,
     exact_dedup,
@@ -49,7 +50,7 @@ from .dedup import (
     simhash_dedup,
 )
 from .joins import bucket_map_groups
-from .extract import ExtractConfig, ocr_media, ocr_pool, run_extract, validate_against_golden
+from .extract import ExtractConfig, ocr_map, ocr_media, run_extract, validate_against_golden
 from .similarity import ivf_topk, knn_self_join, topk_cosine
 
 FIXTURE_ROOT = os.environ.get("TWR_FIXTURE_ROOT", "/tmp/twr_fixtures")
@@ -2226,7 +2227,7 @@ def _extract_cfg() -> ExtractConfig:
     from ..tuning import apply_data_context_tuning
 
     apply_data_context_tuning()
-    return ExtractConfig(ocr_batch_size=64, num_buckets=16)
+    return ExtractConfig(num_buckets=16)
 
 
 def q_extract_flagship(sf_dir: str):
@@ -2424,35 +2425,17 @@ def q_layout_boxes(sf_dir: str):
     """Layout-only analysis (no model): box counts per page."""
     from ..stages.ocr_actor import LayoutActor
 
-    paths = corpus_for(sf_dir)
-    media = rd.read_parquet(paths["media"])
-    concurrency, num_cpus = ocr_pool()
-    return media.map_batches(
-        LayoutActor(),
-        batch_format="pyarrow",
-        zero_copy_batch=True,
-        batch_size=64,
-        concurrency=concurrency,
-        num_cpus=num_cpus,
-    )
+    media = read_media(corpus_for(sf_dir)["media"])
+    return ocr_map(media, LayoutActor(), media.count(), ExtractConfig())
 
 
 def q_hocr(sf_dir: str):
     """hOCR rendering: stable digest per page document."""
     from ..stages.ocr_actor import HocrActor
-    from ..state.glyph_model import GlyphModel
 
-    paths = corpus_for(sf_dir)
-    media = rd.read_parquet(paths["media"])
-    concurrency, num_cpus = ocr_pool()
-    return media.map_batches(
-        HocrActor(model_blob=GlyphModel.build().to_bytes()),
-        batch_format="pyarrow",
-        zero_copy_batch=True,
-        batch_size=64,
-        concurrency=concurrency,
-        num_cpus=num_cpus,
-    )
+    cfg = ExtractConfig()
+    media = read_media(corpus_for(sf_dir)["media"])
+    return ocr_map(media, HocrActor(model_blob=cfg.model_blob), media.count(), cfg)
 
 
 def q_boilerplate_strip(sf_dir: str):

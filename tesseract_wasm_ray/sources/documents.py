@@ -10,6 +10,14 @@ from __future__ import annotations
 import ray.data as rd
 
 
+# A read task holds its decoded row group in its heap and splits it into
+# blocks.  Ray Data's default lets a task hand over at most 2 blocks per
+# scheduling tick (0.1 s) from its streaming generator, so a one-file
+# table trickles out for about a second; -1 lifts that limit, and the
+# task releases each block as it splits it (docs/RAY_NOTES.md, round 8).
+_READ_REMOTE_ARGS = {"_generator_backpressure_num_objects": -1}
+
+
 def _read_table(path: str, columns: list[str] | None) -> rd.Dataset:
     """Lance when available + requested (the north rule's storage), else
     parquet with the identical Arrow schema.  A ``.lance`` path uses
@@ -18,12 +26,12 @@ def _read_table(path: str, columns: list[str] | None) -> rd.Dataset:
     wheel, so parquet is the tested path."""
     if path.endswith(".lance"):
         try:
-            return rd.read_lance(path, columns=columns)
+            return rd.read_lance(path, columns=columns, ray_remote_args=_READ_REMOTE_ARGS)
         except (AttributeError, ImportError) as e:  # pragma: no cover
             raise RuntimeError(
                 "lance reader requested but pylance is not installed"
             ) from e
-    return rd.read_parquet(path, columns=columns)
+    return rd.read_parquet(path, columns=columns, ray_remote_args=_READ_REMOTE_ARGS)
 
 
 def read_documents(path: str, columns: list[str] | None = None) -> rd.Dataset:
@@ -34,8 +42,8 @@ def read_documents(path: str, columns: list[str] | None = None) -> rd.Dataset:
 def read_media(path: str, columns: list[str] | None = None) -> rd.Dataset:
     """media table: (media_ref, width, height, channels, pixels, rotation).
 
-    ``pixels`` rows are wide (raw rasters); callers should keep
-    ``batch_size`` small on stages consuming this (SURVEY.md §4.2).
+    ``pixels`` rows are wide (raw rasters); the OCR-family stages bound
+    their batch by ``ExtractConfig.ocr_batch_size`` (SURVEY.md §4.2).
     """
     return _read_table(path, columns)
 

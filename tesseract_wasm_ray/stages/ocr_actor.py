@@ -15,13 +15,12 @@ Per row: decode raw pixels -> binarize -> detect orientation ->
 derotate -> layout + recognition (all vectorized numpy inside the
 kernel) -> text / word boxes / line boxes / orientation columns.
 
-Wire as (``pipelines/extract.py:ocr_media``)::
+Wire through ``pipelines/extract.py:ocr_map``, which sizes the tasks
+(``ocr_pool``) and the batch (``ocr_batch``: the table split evenly
+over the pool, capped at ``cfg.ocr_batch_size``)::
 
-    concurrency, num_cpus = ocr_pool(cfg.ocr_concurrency)
-    media.map_batches(OcrActor(model_blob=blob),
-                      batch_format="pyarrow", zero_copy_batch=True,
-                      batch_size=cfg.ocr_batch_size,
-                      concurrency=concurrency, num_cpus=num_cpus)
+    media = read_media(path)
+    ocr_map(media, OcrActor(model_blob=cfg.model_blob), media.count(), cfg)
 
 ``LayoutActor`` and ``HocrActor`` wire the same way.
 
@@ -77,6 +76,24 @@ def _items_column(groups: list[list]) -> pa.ListArray:
     return pa.ListArray.from_arrays(pa.array(offsets, pa.int32()), item)
 
 
+def _page_decoder(batch: pa.Table):
+    """-> ``page(j)``: row ``j``'s raw pixels as a uint8 [H,W] or
+    [H,W,4] array, viewing the batch's buffer.  The shape columns
+    convert to numpy once per batch, not one boxed scalar per cell; a
+    corrupt row raises only when its ``page(j)`` is called."""
+    widths = batch.column("width").to_numpy()
+    heights = batch.column("height").to_numpy()
+    channels = batch.column("channels").to_numpy()
+    pixels = batch.column("pixels")
+
+    def page(j: int) -> np.ndarray:
+        w, h, c = int(widths[j]), int(heights[j]), int(channels[j])
+        img = np.frombuffer(pixels[j].as_buffer(), dtype=np.uint8)
+        return img.reshape((h, w) if c == 1 else (h, w, 4))
+
+    return page
+
+
 class OcrActor:
     def __init__(
         self,
@@ -97,10 +114,7 @@ class OcrActor:
         self.on_error = on_error
 
     def __call__(self, batch: pa.Table) -> pa.Table:
-        widths = batch.column("width").to_numpy()
-        heights = batch.column("height").to_numpy()
-        channels = batch.column("channels").to_numpy()
-        pixels = batch.column("pixels")
+        page = _page_decoder(batch)
         n = batch.num_rows
         texts: list[str] = []
         word_groups: list[list] = []
@@ -117,11 +131,7 @@ class OcrActor:
             # reference surfaces these as catchable per-call Errors
             # (/root/reference/src/ocr-engine.ts:179-185,205-207).
             try:
-                w, h, c = int(widths[j]), int(heights[j]), int(channels[j])
-                buf = pixels[j].as_buffer()
-                img = np.frombuffer(buf, dtype=np.uint8)
-                img = img.reshape((h, w) if c == 1 else (h, w, 4))
-                eng.load_image(img)
+                eng.load_image(page(j))
                 o = eng.orient_and_recognize()  # one pass: orientation + OCR cache
                 words = eng.get_text_boxes("word")
                 texts.append(eng.get_text())
@@ -163,14 +173,6 @@ class OcrActor:
         return out.cast(OCR_RESULT_SCHEMA)
 
 
-def _load_row(eng: OCREngine, batch: pa.Table, j: int) -> None:
-    w = int(batch.column("width")[j].as_py())
-    h = int(batch.column("height")[j].as_py())
-    c = int(batch.column("channels")[j].as_py())
-    img = np.frombuffer(batch.column("pixels")[j].as_buffer(), dtype=np.uint8)
-    eng.load_image(img.reshape((h, w) if c == 1 else (h, w, 4)))
-
-
 class LayoutActor:
     """Layout-only stage: bounding boxes WITHOUT a model — mirrors the
     reference's InitForAnalysePage path (/root/reference/src/lib.cpp:173-175,
@@ -183,11 +185,12 @@ class LayoutActor:
         # Column-wise output (the _items_column pattern): the engine work
         # is per-image by nature, but the batch assembles as three arrays
         # — no per-row dicts / Table.from_pylist.
+        page = _page_decoder(batch)
         n = batch.num_rows
         n_words = np.empty(n, np.int32)
         n_lines = np.empty(n, np.int32)
         for j in range(n):
-            _load_row(self.engine, batch, j)
+            self.engine.load_image(page(j))
             n_words[j] = len(self.engine.get_bounding_boxes("word"))
             n_lines[j] = len(self.engine.get_bounding_boxes("line"))
         return pa.table(
@@ -212,11 +215,11 @@ class HocrActor:
         self._md5 = hashlib.md5
 
     def __call__(self, batch: pa.Table) -> pa.Table:
-        n = batch.num_rows
+        page = _page_decoder(batch)
         hocrs: list[str] = []
         digests: list[str] = []
-        for j in range(n):
-            _load_row(self.engine, batch, j)
+        for j in range(batch.num_rows):
+            self.engine.load_image(page(j))
             self.engine.orient_and_recognize()
             hocr = self.engine.get_hocr()
             hocrs.append(hocr)

@@ -6,13 +6,14 @@ including the 1- and 2-CPU sessions where a pool that claims every CPU
 makes no progress."""
 
 import json
+import math
 import os
 import subprocess
 import sys
 
 import pytest
 
-from tesseract_wasm_ray.pipelines.extract import ocr_pool
+from tesseract_wasm_ray.pipelines.extract import ExtractConfig, ocr_batch, ocr_pool
 
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -21,17 +22,38 @@ def test_ocr_pool_claim_leaves_one_cpu():
     for cpus in range(1, 65):
         for asked in (None, 1, 3, 24):
             conc, num_cpus = ocr_pool(asked, cpus=cpus)
-            assert conc >= 1 and 0 <= num_cpus <= 0.5
+            assert conc >= 1 and 0 <= num_cpus <= 1.0
             assert conc * num_cpus <= cpus - 1, (cpus, asked, conc, num_cpus)
             if asked:
                 assert conc == asked
 
 
 def test_ocr_pool_at_four_cpus():
-    assert ocr_pool(cpus=4) == (3, 0.5)
-    assert ocr_pool(3, cpus=4) == (3, 0.5)
+    assert ocr_pool(cpus=4) == (3, 1.0)
+    assert ocr_pool(3, cpus=4) == (3, 1.0)
     assert ocr_pool(cpus=1) == (1, 0)
-    assert ocr_pool(2, cpus=8) == (2, 0.5)
+    assert ocr_pool(2, cpus=8) == (2, 1.0)
+
+
+def test_ocr_batch_is_one_even_wave():
+    """The batch splits the media table evenly over the pool (one wave
+    of equal tasks), up to the ``ocr_batch_size`` cap."""
+    cap = ExtractConfig().ocr_batch_size
+    assert ocr_batch(1059, 3, cap) == 353
+    assert math.ceil(1059 / ocr_batch(1059, 3, cap)) == 3
+    assert ocr_batch(10**7, 3, cap) == cap
+    assert ocr_batch(0, 3, cap) == 1
+
+
+def test_source_reads_release_blocks_unthrottled(small_corpus):
+    """Both source reads lift the streaming-generator buffer, so a read
+    task hands over its blocks as it splits them instead of two per
+    scheduling tick."""
+    from tesseract_wasm_ray.sources import read_documents, read_media
+
+    for read, path in ((read_documents, small_corpus["documents"]), (read_media, small_corpus["media"])):
+        (op,) = [op for op in _plan(read(path))[0] if op.name.startswith("Read")]
+        assert op._ray_remote_args["_generator_backpressure_num_objects"] == -1
 
 
 def _plan(ds):
@@ -66,6 +88,21 @@ def test_ocr_stage_runs_as_tasks(small_corpus):
         assert [op.name for op in ocr] == ["MapBatches(OcrActor)"]
         assert _is_task_pool(ocr[0], ocr_pool(cfg.ocr_concurrency)[0])
         assert [n for n in physical if "OcrActor" in n] == ["MapBatches(OcrActor)"]
+
+
+@pytest.mark.parametrize("cpus", [2, 4, 8])
+def test_ocr_stage_unfused_at_session_sizes(cpus, small_corpus, monkeypatch):
+    """A whole-CPU OCR task claims what the read before it claims, so
+    only the concurrency cap keeps the two apart: at every session size
+    ``MapBatches(OcrActor)`` stays its own physical operator."""
+    import ray
+
+    from tesseract_wasm_ray.pipelines.extract import run_extract
+
+    monkeypatch.setattr(ray, "cluster_resources", lambda: {"CPU": float(cpus)})
+    assert ocr_pool()[1] == 1.0
+    _, physical = _plan(run_extract(small_corpus["documents"], small_corpus["media"]))
+    assert [n for n in physical if "OcrActor" in n] == ["MapBatches(OcrActor)"]
 
 
 def test_run_extract_all_to_all_ops(small_corpus, tmp_path, monkeypatch):
@@ -114,6 +151,47 @@ def test_shuffle_strategy_is_sort_based(ray_session):
         ShuffleStrategy.SORT_SHUFFLE_PULL_BASED,
         ShuffleStrategy.SORT_SHUFFLE_PUSH_BASED,
     )
+
+
+def test_short_last_bundle_leaves_no_queued_input(ray_session):
+    """10 rows in 5 blocks at ``batch_size=4`` bundle as 4, 4 and a short
+    last 2.  After ``apply_data_context_tuning()`` no operator ends the
+    execution with inputs still queued; Ray 2.49 left the short bundle
+    in the map operator's in-queue, which kept its blocks in the object
+    store after the pass."""
+    import ray.data as rd
+    from ray.data._internal.execution.execution_callback import (
+        EXECUTION_CALLBACKS_CONFIG_KEY,
+        ExecutionCallback,
+        get_execution_callbacks,
+    )
+
+    from tesseract_wasm_ray.tuning import apply_data_context_tuning
+
+    apply_data_context_tuning()
+    queued = {}
+
+    class Capture(ExecutionCallback):
+        def __deepcopy__(self, memo):
+            return self
+
+        def __reduce__(self):
+            return (ExecutionCallback, ())
+
+        def after_execution_succeeds(self, executor):
+            for op in executor._topology:
+                queued[op.name] = op.metrics.obj_store_mem_internal_inqueue_blocks
+
+    ctx = rd.DataContext.get_current()
+    before = get_execution_callbacks(ctx)
+    ctx.set_config(EXECUTION_CALLBACKS_CONFIG_KEY, before + [Capture()])
+    try:
+        ds = rd.range(10, override_num_blocks=5).map_batches(lambda b: b, batch_size=4)
+        assert len(ds.take_all()) == 10
+    finally:
+        ctx.set_config(EXECUTION_CALLBACKS_CONFIG_KEY, before)
+    assert any("MapBatches" in name for name in queued)
+    assert all(n == 0 for n in queued.values()), queued
 
 
 def test_media_stages_run_as_tasks(ray_session):

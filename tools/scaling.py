@@ -69,9 +69,8 @@ def _init_ray(num_cpus: int) -> None:
     apply_data_context_tuning()
 
 
-def _config(num_cpus: int, ocr_batch_size: int) -> ExtractConfig:
+def _config(num_cpus: int) -> ExtractConfig:
     return ExtractConfig(
-        ocr_batch_size=ocr_batch_size,
         num_buckets=max(32, num_cpus * 2),
         coalesce_partitions=max(8, num_cpus // 2),
     )
@@ -88,10 +87,7 @@ def docs_per_sec(num_cpus: int, n_docs: int) -> float:
     _init_ray(num_cpus)
     paths = _corpus(n_docs)
     t0 = time.monotonic()
-    # Each task is a serial scheduling cost on the driver, so a large
-    # corpus runs fewer, bigger OCR batches.
-    cfg = _config(num_cpus, 256 if n_docs < 100_000 else 1024)
-    result = run_extract(paths["documents"], paths["media"], cfg)
+    result = run_extract(paths["documents"], paths["media"], _config(num_cpus))
     docs = result.map_batches(
         lambda b: pa.table({"docs": [b.num_rows]}), batch_format="pyarrow"
     ).sum("docs")
@@ -254,7 +250,7 @@ def run_soak() -> dict:
     # One extraction: validation consumes the lazy result, so the wall
     # covers extract and golden comparison together.
     t0 = time.monotonic()
-    result = run_extract(paths["documents"], paths["media"], _config(num_cpus, 1024))
+    result = run_extract(paths["documents"], paths["media"], _config(num_cpus))
     counts = validate_against_golden(result, paths["golden_spans"])
     wall = time.monotonic() - t0
     steps["flagship_validate"] = {
