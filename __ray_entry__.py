@@ -27,23 +27,24 @@ from typing import Any
 def entry() -> Any:
     """Flagship pipeline: interleaved docs -> explode -> strip ⊕ OCR ->
     reassemble, on the sf0.001-scale synthetic corpus."""
-    from tesseract_wasm_ray.pipelines.queries import q_extract_flagship
+    from tesseract_wasm_ray.catalog.extraction import q_extract_flagship
 
     return q_extract_flagship("/root/testdata/sf0.001")
 
 
 def queries() -> dict[str, Callable[[str], Any]]:
-    from tesseract_wasm_ray.pipelines.queries import QUERIES
+    from tesseract_wasm_ray.catalog import table
 
-    return dict(QUERIES)
+    return {name: entry.fn for name, entry in table().items()}
 
 
 def oracle_sql() -> dict[str, str]:
-    from tesseract_wasm_ray.pipelines.queries import ORACLE_SQL, corpus_for
+    from tesseract_wasm_ray.catalog import table
+    from tesseract_wasm_ray.fixtures import corpus_for
 
     # The extraction-family oracles SELECT from the sf0.01 fixture golden
     # tables; make sure they exist regardless of whether the driver runs
     # the oracle or the Ray query first.  Inline generation (500 docs),
     # no Ray session required; idempotent across calls.
     corpus_for("/root/testdata/sf0.01")
-    return dict(ORACLE_SQL)
+    return {name: entry.oracle for name, entry in table().items()}

@@ -75,9 +75,9 @@ def main(argv: list[str] | None = None) -> int:
     args = ap.parse_args(argv)
 
     if args.cmd == "list":
-        from .pipelines.queries import QUERIES
+        from .catalog import table
 
-        for name in sorted(QUERIES):
+        for name in sorted(table()):
             print(name)
         return 0
 
@@ -117,12 +117,13 @@ def main(argv: list[str] | None = None) -> int:
         import pyarrow as pa
         import ray.data as rd
 
-        from .pipelines.queries import QUERIES
+        from .catalog import table
 
-        if args.name not in QUERIES:
+        catalog = table()
+        if args.name not in catalog:
             print(f"unknown operator {args.name!r}; see `list`", file=sys.stderr)
             return 2
-        res = QUERIES[args.name](args.sf_dir)
+        res = catalog[args.name].fn(args.sf_dir)
         part_cols = args.partition_by.split(",") if args.partition_by else None
         if hasattr(res, "write_parquet"):  # ray.data.Dataset
             if args.out:

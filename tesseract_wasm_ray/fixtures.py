@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import json
 import os
+import re
 
 import numpy as np
 import pyarrow as pa
@@ -417,8 +418,8 @@ def generate_corpus(out_dir: str, n_docs: int, parallelism: int | None = None) -
         os.remove(meta_path)
     for p in paths.values():
         shutil.rmtree(p, ignore_errors=True)
-    # derived caches (the poisoned-media copy of queries
-    # .q_extract_quarantine) go stale with the corpus — drop them too
+    # derived caches (the poisoned-media copy of
+    # catalog.extraction.q_extract_quarantine) go stale with the corpus — drop them too
     shutil.rmtree(os.path.join(out_dir, "media_poisoned"), ignore_errors=True)
 
     if parallelism is None:
@@ -451,6 +452,25 @@ def generate_corpus(out_dir: str, n_docs: int, parallelism: int | None = None) -
     with open(meta_path, "w") as f:
         json.dump(meta, f)
     return paths
+
+
+FIXTURE_ROOT = os.environ.get("TWR_FIXTURE_ROOT", "/tmp/twr_fixtures")
+
+# docs in the synthetic interleaved corpus per scale factor
+_CORPUS_DOCS = {"0.001": 200, "0.01": 500, "0.1": 5000}
+
+
+def sf_of(sf_dir: str) -> str:
+    m = re.search(r"sf([0-9.]+)/?$", sf_dir.rstrip("/"))
+    return m.group(1) if m else "0.001"
+
+
+def corpus_for(sf_dir: str, n_docs: int | None = None) -> dict[str, str]:
+    sf = sf_of(sf_dir)
+    if n_docs is None:
+        n_docs = _CORPUS_DOCS.get(sf, max(200, int(float(sf) * 50_000)))
+        return generate_corpus(os.path.join(FIXTURE_ROOT, f"sf{sf}"), n_docs)
+    return generate_corpus(os.path.join(FIXTURE_ROOT, f"n{n_docs}"), n_docs)
 
 
 # ---------------------------------------------------------------------------

@@ -486,10 +486,8 @@ def validate_against_golden(result: rd.Dataset, golden_path: str) -> dict:
             [{"ok": ok, "mismatch": mismatch, "missing": missing}]
         )
 
-    bucketed = tagged.repartition(16).map_batches(
-        add_bucket_column(16), batch_format="pyarrow"
-    )
-    counts = bucket_map_groups(bucketed, "bucket", compare).to_pandas().sum()
+    bucketed = tagged.map_batches(add_bucket_column(16), batch_format="pyarrow")
+    counts = bucket_map_groups(bucketed, "bucket", compare, coalesce=16).to_pandas().sum()
     return {
         "docs_ok": int(counts["ok"]),
         "docs_mismatched": int(counts["mismatch"]),

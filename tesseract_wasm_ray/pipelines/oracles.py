@@ -37,13 +37,25 @@ _FNV_PRIME = 0x100000001B3
 _BAND_MIX = 0x9E3779B97F4A7C15  # lsh_band_keys multiplier
 _ROLL_BASE = 1099511628211      # textstats rolling-hash base (== FNV prime)
 
+# Parameters a catalogue query shares with the builder below that
+# checks it: one definition, read by both sides.
+DSIR_BUCKETS = 1024   # dsir_select: FNV-unigram buckets
+DSIR_SCALE = 10_000   # dsir_select: importance-ratio quantization
+DRIFT_BUCKETS = 1024  # source_drift: FNV-unigram buckets
+BM25_TERMS = ("join", "shuffle", "spark", "window")  # text_search_bm25
+BM25_K = 20
+QUANTILE_COL = "l_extendedprice"  # approx_quantiles over lineitem
+QUANTILE_QS = (0.25, 0.5, 0.75, 0.95)
+QUANTILE_LO, QUANTILE_HI = 0.0, 120000.0
+QUANTILE_BINS = 4096
 
-def _tok_cte(table: str = "documents", text_col: str = "text", id_col: str = "doc_id") -> str:
+
+def _tok_cte(table: str = "documents") -> str:
     """Lowercase whitespace tokens per row (empty tokens dropped) —
     mirrors functions.textstats._tokens / sketch.token_hashes."""
     return f"""
 toks AS (
-    SELECT {id_col}, list_filter(string_split_regex(lower({text_col}), '\\s+'), w -> len(w) > 0) AS w
+    SELECT doc_id, list_filter(string_split_regex(lower(text), '\\s+'), w -> len(w) > 0) AS w
     FROM {table}
 )"""
 
@@ -598,12 +610,7 @@ WHERE NOT EXISTS (
 """
 
 
-def sql_text_search_bm25(
-    terms: tuple[str, ...] = ("join", "shuffle", "spark", "window"),
-    k: int = 20,
-    k1: float = 1.2,
-    b: float = 0.75,
-) -> str:
+def sql_text_search_bm25(k1: float = 1.2, b: float = 0.75) -> str:
     """BM25 recomputed from the documents table — same tokenizer
     contract as sql text_search (lowercase whitespace split, empties
     dropped), Lucene idf ``ln(1 + (N - df + 0.5)/(df + 0.5))``, N over
@@ -612,7 +619,7 @@ def sql_text_search_bm25(
     same doubles numpy uses; 0.75*dl is dyadic-exact in both engines);
     the one remaining per-doc sum over <= |terms| addends is the usual
     sub-ulp risk absorbed by round(..., 4)."""
-    in_list = ", ".join(f"'{t}'" for t in sorted(terms))
+    in_list = ", ".join(f"'{t}'" for t in sorted(BM25_TERMS))
     k1p1 = repr(k1 + 1.0)
     return f"""
 WITH toks AS (
@@ -640,18 +647,11 @@ scored AS (
     GROUP BY t.doc_id
 )
 SELECT doc_id, round(raw, 4) AS score
-FROM scored ORDER BY score DESC, doc_id ASC LIMIT {k}
+FROM scored ORDER BY score DESC, doc_id ASC LIMIT {BM25_K}
 """
 
 
-def sql_approx_quantiles(
-    qs: tuple[float, ...] = (0.25, 0.5, 0.75, 0.95),
-    lo: float = 0.0,
-    hi: float = 120000.0,
-    bins: int = 4096,
-    col: str = "l_extendedprice",
-    table: str = "lineitem",
-) -> str:
+def sql_approx_quantiles() -> str:
     """Histogram-sketch quantiles recomputed in SQL: same float64 bin
     expression (operator order mirrored), integer counts, cumulative
     min-bin pick at rank ceil(q*n).  q casts ::DOUBLE — DuckDB decimal
@@ -659,12 +659,13 @@ def sql_approx_quantiles(
     float64, and the two DISAGREE at integer boundaries (e.g.
     fl(0.95)*500 rounds above 475), so both engines must bin the rank
     in float64."""
-    span = float(hi) - float(lo)
+    lo, bins, col = QUANTILE_LO, QUANTILE_BINS, QUANTILE_COL
+    span = float(QUANTILE_HI) - float(lo)
     width = span / bins
-    q_values = ", ".join(f"({q!r}::DOUBLE)" for q in qs)
+    q_values = ", ".join(f"({q!r}::DOUBLE)" for q in QUANTILE_QS)
     return f"""
 WITH vals AS (
-    SELECT {col}::DOUBLE AS v FROM {table} WHERE {col} IS NOT NULL
+    SELECT {col}::DOUBLE AS v FROM lineitem WHERE {col} IS NOT NULL
 ),
 hist AS (
     SELECT least(greatest(floor((v - {lo!r}) / {span!r} * {bins})::BIGINT, 0),
@@ -691,7 +692,7 @@ def sql_dup_ngram_frac(n: int = 5) -> str:
     token hashes and the n-token shingle fold (sketch.shingle_hashes,
     including the whole-row short-document rule) in HUGEINT, then
     counts per doc the distinct shingles shared with >= 1 other doc.
-    Mirrors queries.q_dup_ngram_frac bit-for-bit."""
+    Mirrors catalog.trainprep.q_dup_ngram_frac bit-for-bit."""
     # windowed fold: acc = hs[i]; k=1..n-1: acc = (acc*B mod 2^64) xor hs[i+k]
     expr = "hs[i]"
     for k in range(1, n):
@@ -772,21 +773,19 @@ FROM kept GROUP BY doc_id
 """
 
 
-def sql_dsir_select(
-    n_buckets: int = 1024, top_n: int = 50, scale: int = 10_000
-) -> str:
+def sql_dsir_select(top_n: int = 50) -> str:
     """DSIR hashed-unigram importance selection: FNV token buckets,
     Laplace-smoothed target(lang='en')/raw count ratio quantized by
     integer division, per-doc int score sum, deterministic top-N —
     the whole chain re-derived in HUGEINT (mirrors
-    queries.q_dsir_select; both engines do ``//`` on positive ints, so
+    catalog.trainprep.q_dsir_select; both engines do ``//`` on positive ints, so
     floor == trunc)."""
     return f"""
 WITH {_tok_cte()}{_fnv_cte()},
 tb AS (
-    SELECT doc_id, unnest(hs) % {n_buckets} AS bucket FROM th
+    SELECT doc_id, unnest(hs) % {DSIR_BUCKETS} AS bucket FROM th
 ),
-grid AS (SELECT unnest(range({n_buckets})) AS bucket),
+grid AS (SELECT unnest(range({DSIR_BUCKETS})) AS bucket),
 cnt AS (
     SELECT g.bucket,
            coalesce(t.tc, 0) + 1 AS tbn,
@@ -803,7 +802,7 @@ cnt AS (
 tot AS (SELECT sum(tbn)::HUGEINT AS tt, sum(rbn)::HUGEINT AS rt FROM cnt),
 q AS (
     SELECT bucket,
-           (tbn::HUGEINT * rt * {scale}) // (rbn::HUGEINT * tt) AS qv
+           (tbn::HUGEINT * rt * {DSIR_SCALE}) // (rbn::HUGEINT * tt) AS qv
     FROM cnt, tot
 ),
 sc AS (
@@ -819,15 +818,15 @@ FROM sc2 ORDER BY score DESC, doc_id LIMIT {top_n}
 """
 
 
-def sql_source_drift(n_buckets: int = 1024) -> str:
+def sql_source_drift() -> str:
     """Per-source FNV-unigram histogram intersection vs the global
-    corpus, in exact integer ppm (mirrors queries.q_source_drift —
+    corpus, in exact integer ppm (mirrors catalog.trainprep.q_source_drift —
     missing (source, bucket) pairs contribute min(0, ..) = 0, so the
     plain join over present pairs is exact)."""
     return f"""
 WITH {_tok_cte()}{_fnv_cte()},
 tb AS (
-    SELECT doc_id, unnest(hs) % {n_buckets} AS bucket FROM th
+    SELECT doc_id, unnest(hs) % {DRIFT_BUCKETS} AS bucket FROM th
 ),
 sb AS (
     SELECT d.source, tb.bucket, count(*)::HUGEINT AS c

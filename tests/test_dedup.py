@@ -491,7 +491,7 @@ def test_normalized_dedup_collapses_formatting_variants(ray_session):
     import pyarrow as pa
     import ray.data as rd
 
-    from tesseract_wasm_ray.pipelines import queries as q
+    from tesseract_wasm_ray.catalog import dedup as q
 
     t = pa.table(
         {

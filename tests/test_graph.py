@@ -26,7 +26,7 @@ def _numpy_pagerank(doc_ids: np.ndarray, rounds: int = 4) -> np.ndarray:
 
 
 def test_pagerank_matches_numpy_replay(ray_session):
-    from tesseract_wasm_ray.pipelines.queries import q_pagerank
+    from tesseract_wasm_ray.catalog.graph import q_pagerank
 
     got = q_pagerank(SF).to_pandas().sort_values("doc_id").reset_index(drop=True)
     ids = (
@@ -43,7 +43,7 @@ def test_pagerank_matches_numpy_replay(ray_session):
 
 
 def test_pagerank_rank_mass_sane(ray_session):
-    from tesseract_wasm_ray.pipelines.queries import q_pagerank
+    from tesseract_wasm_ray.catalog.graph import q_pagerank
 
     ranks = q_pagerank(SF).to_pandas()["rank"].to_numpy()
     # damped power iteration keeps mean rank near 1.0 (truncating
@@ -57,7 +57,7 @@ def test_pagerank_rank_mass_sane(ray_session):
 
 
 def test_ntile_sizes_follow_duckdb_rule(ray_session):
-    from tesseract_wasm_ray.pipelines.queries import q_customer_ntile
+    from tesseract_wasm_ray.catalog.analytics import q_customer_ntile
 
     df = q_customer_ntile(SF).to_pandas()
     for _, g in df.groupby("c_nationkey"):
@@ -72,7 +72,7 @@ def test_ntile_sizes_follow_duckdb_rule(ray_session):
 
 
 def test_graph_triangles_matches_numpy_replay(ray_session):
-    from tesseract_wasm_ray.pipelines.queries import q_graph_triangles
+    from tesseract_wasm_ray.catalog.graph import q_graph_triangles
 
     got = (
         q_graph_triangles(SF)
@@ -119,7 +119,7 @@ def test_graph_triangles_matches_numpy_replay(ray_session):
 
 
 def test_graph_components_matches_union_find(ray_session):
-    from tesseract_wasm_ray.pipelines.queries import q_graph_components
+    from tesseract_wasm_ray.catalog.graph import q_graph_components
 
     got = (
         q_graph_components(SF)

@@ -189,3 +189,46 @@ def test_resume_prunes_ocr_compute(small_corpus, tmp_path, monkeypatch):
         sum(int(line) for line in open(trace)) if os.path.exists(trace) else 0
     )
     assert recognized == 0  # no page reached the recognition stage
+
+
+def test_perfbench_ledger_parses_every_execution(small_corpus, tmp_path):
+    """The traced benchmark run (``perfbench/run.py --trace 1``) parses
+    the Ray Data stats of every ``run_extract`` execution, lazy and with
+    ``out_dir``, by operator name: a renamed or missing operator makes
+    ``parse_pipeline_stats`` raise and the traced run exit non-zero."""
+    import importlib.util
+
+    from ray.data import DataContext
+    from ray.data._internal.execution.execution_callback import (
+        EXECUTION_CALLBACKS_CONFIG_KEY,
+        get_execution_callbacks,
+    )
+
+    repo = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_layers", os.path.join(repo, "perfbench", "layers.py")
+    )
+    layers = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(layers)
+
+    cfg = ExtractConfig(ocr_concurrency=3)
+    capture = layers.StatsCapture()
+    try:
+        for _ in run_extract(small_corpus["documents"], small_corpus["media"], cfg).iter_batches(
+            batch_size=None
+        ):
+            pass
+        run_extract(
+            small_corpus["documents"], small_corpus["media"], cfg,
+            out_dir=str(tmp_path / "out"), resume=False,
+        )
+        assert len(capture.summaries) >= 2
+        for summary in capture.summaries:
+            stats = layers.parse_pipeline_stats(summary)
+            assert stats["pipeline.ocr.rows"] > 0
+    finally:
+        ctx = DataContext.get_current()
+        ctx.set_config(
+            EXECUTION_CALLBACKS_CONFIG_KEY,
+            [c for c in get_execution_callbacks(ctx) if c is not capture],
+        )

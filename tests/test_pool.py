@@ -245,7 +245,7 @@ import json, sys
 import ray
 ray.init(address="local", num_cpus=int(sys.argv[1]), include_dashboard=False,
          logging_level="ERROR")
-from tesseract_wasm_ray.pipelines.queries import q_audio_features, q_video_frames
+from tesseract_wasm_ray.catalog.multimodal import q_audio_features, q_video_frames
 print(json.dumps({"audio": q_audio_features(sys.argv[2]).count(),
                   "video": q_video_frames(sys.argv[2]).count()}))
 ray.shutdown()

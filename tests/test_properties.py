@@ -279,7 +279,7 @@ def test_sliding_windows_match_duckdb_on_random_events(ray_session, tmp_path_fac
     import pandas as pd
     import pyarrow.parquet as pq
 
-    from tesseract_wasm_ray.pipelines.queries import (
+    from tesseract_wasm_ray.catalog.events import (
         q_events_sliding_1h,
         q_events_sliding_sum_1h,
     )
@@ -319,7 +319,7 @@ def test_click_attribution_matches_duckdb_on_random_events(ray_session, tmp_path
     import pandas as pd
     import pyarrow.parquet as pq
 
-    from tesseract_wasm_ray.pipelines.queries import q_click_attribution
+    from tesseract_wasm_ray.catalog.events import q_click_attribution
 
     d = tmp_path_factory.mktemp("ev")
     t = _events_table(rows)

@@ -1,17 +1,44 @@
-"""Driver-contract invariants: every oracle key has a query, entry()
-runs, and a sample of queries executes at sf0.001 with stable schemas."""
+"""Driver-contract invariants: every query has exactly one oracle, the
+catalogue page matches the registry, entry() runs, and a sample of
+queries executes at sf0.001 with stable schemas."""
+
+import os
 
 import pytest
 
 SF = "/root/testdata/sf0.001"
+REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
 def test_oracle_keys_subset_of_queries():
     import __ray_entry__ as e
 
     q, o = e.queries(), e.oracle_sql()
-    assert set(o) <= set(q)
-    assert len(o) >= 10  # SQL-oracled coverage floor
+    assert set(o) == set(q)
+    assert len(q) == 145
+
+
+def test_register_rejects_duplicate_name(monkeypatch):
+    from tesseract_wasm_ray import catalog
+
+    monkeypatch.setattr(catalog, "_TABLE", {})
+    catalog.register("q", lambda sf_dir: None, oracle="SELECT 1")
+    with pytest.raises(ValueError, match="already registered"):
+        catalog.register("q", lambda sf_dir: None, oracle="SELECT 2")
+    assert catalog._TABLE["q"].oracle == "SELECT 1"
+
+
+def test_catalog_page_is_fresh():
+    """docs/CATALOG.md is what tools/gen_catalog.py renders today
+    (regenerate it with ``python tools/gen_catalog.py``)."""
+    import importlib.util
+
+    path = os.path.join(REPO, "tools", "gen_catalog.py")
+    spec = importlib.util.spec_from_file_location("gen_catalog", path)
+    gen = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(gen)
+    with open(os.path.join(REPO, "docs", "CATALOG.md")) as f:
+        assert f.read() == gen.render()
 
 
 def test_entry_runs(ray_session):
@@ -87,7 +114,7 @@ def test_image_knn_chunked_broadcast_matches_single(ray_session):
     query set across many ray.put chunks; the unioned partials must fold
     to exactly the single-broadcast result (chunking only partitions the
     query set — VERDICT r04 item 1)."""
-    from tesseract_wasm_ray.pipelines.queries import q_image_knn
+    from tesseract_wasm_ray.catalog.multimodal import q_image_knn
 
     def canon(res):
         df = res.to_pandas()

@@ -210,18 +210,18 @@ SF001 = "/root/testdata/sf0.001"
 
 
 def _oracle_df(name, sf_dir):
-    from tesseract_wasm_ray.pipelines.queries import ORACLE_SQL
+    from tesseract_wasm_ray.catalog import table
 
     con = duckdb.connect()
     for t in "customer orders lineitem events".split():
         con.execute(
             f"CREATE VIEW {t} AS SELECT * FROM '{sf_dir}/{t}.parquet'"
         )
-    return con.execute(ORACLE_SQL[name]).df()
+    return con.execute(table()[name].oracle).df()
 
 
 def test_tpch_q6_matches_duckdb(ray_session):
-    from tesseract_wasm_ray.pipelines.queries import q_tpch_q6
+    from tesseract_wasm_ray.catalog.tpch import q_tpch_q6
 
     got = q_tpch_q6(SF001)
     exp = _oracle_df("tpch_q6", SF001)
@@ -229,7 +229,7 @@ def test_tpch_q6_matches_duckdb(ray_session):
 
 
 def test_tpch_q3_matches_duckdb(ray_session):
-    from tesseract_wasm_ray.pipelines.queries import q_tpch_q3
+    from tesseract_wasm_ray.catalog.tpch import q_tpch_q3
 
     got = q_tpch_q3(SF001).reset_index(drop=True)
     exp = _oracle_df("tpch_q3", SF001)
@@ -239,7 +239,7 @@ def test_tpch_q3_matches_duckdb(ray_session):
 
 
 def test_event_funnel_matches_duckdb(ray_session):
-    from tesseract_wasm_ray.pipelines.queries import q_event_funnel
+    from tesseract_wasm_ray.catalog.events import q_event_funnel
 
     got = q_event_funnel(SF001)
     exp = _oracle_df("event_funnel", SF001)
@@ -252,7 +252,7 @@ def test_event_funnel_strict_ordering(ray_session, tmp_path):
     """A user whose purchase precedes their first view must not convert."""
     import pyarrow.parquet as pq
 
-    from tesseract_wasm_ray.pipelines.queries import q_event_funnel
+    from tesseract_wasm_ray.catalog.events import q_event_funnel
 
     def ts(s):
         return np.datetime64(s, "us")
@@ -283,7 +283,7 @@ def test_event_funnel_strict_ordering(ray_session, tmp_path):
 
 
 def test_cohort_retention_matches_duckdb(ray_session):
-    from tesseract_wasm_ray.pipelines.queries import q_cohort_retention
+    from tesseract_wasm_ray.catalog.events import q_cohort_retention
 
     got = q_cohort_retention(SF001)
     exp = _oracle_df("cohort_retention", SF001)
@@ -340,7 +340,7 @@ def test_events_sliding_1h_crosses_day_boundary(ray_session, tmp_path):
     import pyarrow as pa
     import pyarrow.parquet as pq
 
-    from tesseract_wasm_ray.pipelines.queries import q_events_sliding_1h
+    from tesseract_wasm_ray.catalog.events import q_events_sliding_1h
 
     base = np.datetime64("2024-03-05T23:30:00", "us").astype(np.int64)
     mins = np.array([0, 29, 40, 75, 200, 0], np.int64) * 60_000_000
@@ -389,7 +389,7 @@ def test_click_attribution_window_and_user_isolation(ray_session, tmp_path):
     import pyarrow as pa
     import pyarrow.parquet as pq
 
-    from tesseract_wasm_ray.pipelines.queries import q_click_attribution
+    from tesseract_wasm_ray.catalog.events import q_click_attribution
 
     MIN = 60_000_000
     base = np.datetime64("2024-03-05T12:00:00", "us").astype(np.int64)
@@ -444,7 +444,7 @@ def test_source_drift_identical_vs_disjoint_vocab(ray_session, tmp_path):
     import pyarrow as pa
     import pyarrow.parquet as pq
 
-    from tesseract_wasm_ray.pipelines.queries import q_source_drift
+    from tesseract_wasm_ray.catalog.trainprep import q_source_drift
 
     rows = []
     for i in range(8):
@@ -479,7 +479,7 @@ def test_events_sliding_sum_crosses_day_boundary(ray_session, tmp_path):
     import pyarrow as pa
     import pyarrow.parquet as pq
 
-    from tesseract_wasm_ray.pipelines.queries import q_events_sliding_sum_1h
+    from tesseract_wasm_ray.catalog.events import q_events_sliding_sum_1h
 
     base = np.datetime64("2024-03-05T23:30:00", "us").astype(np.int64)
     mins = np.array([0, 29, 40, 75, 200], np.int64) * 60_000_000

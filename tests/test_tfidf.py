@@ -1,5 +1,6 @@
-"""Vector aggregation + TF-IDF family (queries.py): per-label centroid
-partials, distributed document frequency, and broadcast-idf scoring."""
+"""Vector aggregation + TF-IDF family (catalog/text.py, catalog/retrieval.py):
+per-label centroid partials, distributed document frequency, and
+broadcast-idf scoring."""
 
 import math
 
@@ -25,7 +26,7 @@ def _mini_docs(tmp_path):
 
 
 def test_doc_freq_counts_docs_not_instances(ray_session, tmp_path):
-    from tesseract_wasm_ray.pipelines.queries import _doc_freq
+    from tesseract_wasm_ray.catalog.text import _doc_freq
 
     out = _doc_freq(_mini_docs(tmp_path)).to_pandas().set_index("term")["df"]
     # 'a' appears in docs 1 and 4 (df=2) though 6 instances total
@@ -35,7 +36,7 @@ def test_doc_freq_counts_docs_not_instances(ray_session, tmp_path):
 
 
 def test_tfidf_scores_match_closed_form(ray_session, tmp_path):
-    from tesseract_wasm_ray.pipelines.queries import q_tfidf_doc_scores
+    from tesseract_wasm_ray.catalog.text import q_tfidf_doc_scores
 
     sf = _mini_docs(tmp_path)
     out = (
@@ -50,7 +51,7 @@ def test_tfidf_scores_match_closed_form(ray_session, tmp_path):
 
 
 def test_label_centroid_partials_reduce_exactly(ray_session, tmp_path):
-    from tesseract_wasm_ray.pipelines.queries import q_emb_label_centroids
+    from tesseract_wasm_ray.catalog.retrieval import q_emb_label_centroids
 
     rng = np.random.default_rng(5)
     emb = rng.normal(size=(60, 8)).astype(np.float32)

@@ -44,7 +44,7 @@ def _write_docs(tmp_path, rows):
 
 
 def test_lm_perplexity_hand_computed(ray_session, tmp_path):
-    from tesseract_wasm_ray.pipelines.queries import q_lm_perplexity
+    from tesseract_wasm_ray.catalog.trainprep import q_lm_perplexity
 
     sf = _write_docs(tmp_path, [(0, "a b a b"), (1, "a c")])
     out = q_lm_perplexity(sf).to_pandas().set_index("doc_id")
@@ -59,7 +59,7 @@ def test_lm_perplexity_hand_computed(ray_session, tmp_path):
 
 
 def test_decontaminate_planted_overlap(ray_session, tmp_path):
-    from tesseract_wasm_ray.pipelines.queries import q_decontaminate
+    from tesseract_wasm_ray.catalog.trainprep import q_decontaminate
 
     shared = "one two three four five"
     rows = [
@@ -82,7 +82,7 @@ def test_decontaminate_planted_overlap(ray_session, tmp_path):
 def test_global_rank_matches_duckdb(ray_session, tmp_path):
     import duckdb
 
-    from tesseract_wasm_ray.pipelines.queries import q_global_rank
+    from tesseract_wasm_ray.catalog.trainprep import q_global_rank
 
     rows = [(i, "x " * ((i * 7) % 13 + 1)) for i in range(60)]  # many ties
     sf = _write_docs(tmp_path, rows)
@@ -111,7 +111,7 @@ def test_global_rank_matches_duckdb(ray_session, tmp_path):
 def test_heavy_hitters_exact_vs_bruteforce(ray_session, tmp_path):
     from collections import Counter
 
-    from tesseract_wasm_ray.pipelines.queries import q_heavy_hitters
+    from tesseract_wasm_ray.catalog.trainprep import q_heavy_hitters
 
     # skewed corpus: 'hot' terms dominate, long tail of rare terms
     rows = []
@@ -137,7 +137,7 @@ def test_dup_ngram_frac_hand_computed(ray_session, tmp_path):
         tmp_path,
         [(0, "a b c d e f"), (1, "a b c d e x"), (2, "p q r s t")],
     )
-    from tesseract_wasm_ray.pipelines.queries import q_dup_ngram_frac
+    from tesseract_wasm_ray.catalog.trainprep import q_dup_ngram_frac
 
     out = (
         q_dup_ngram_frac(sf).to_pandas().set_index("doc_id").sort_index()
@@ -156,7 +156,7 @@ def test_dup_ngram_frac_counts_distinct_grams_once(ray_session, tmp_path):
         tmp_path,
         [(0, f"{phrase} {phrase}"), (1, phrase)],
     )
-    from tesseract_wasm_ray.pipelines.queries import q_dup_ngram_frac
+    from tesseract_wasm_ray.catalog.trainprep import q_dup_ngram_frac
 
     out = q_dup_ngram_frac(sf).to_pandas().set_index("doc_id").sort_index()
     # doc0 tokens: a b c d e a b c d e -> 6 windows but 5 DISTINCT
@@ -173,7 +173,7 @@ def test_chunk_dedup_keeps_first_and_restitches(ray_session, tmp_path):
         tmp_path,
         [(0, " ".join(toks)), (1, dup16), (2, "unique text here")],
     )
-    from tesseract_wasm_ray.pipelines.queries import q_chunk_dedup
+    from tesseract_wasm_ray.catalog.dedup import q_chunk_dedup
 
     out = q_chunk_dedup(sf).to_pandas().set_index("doc_id").sort_index()
     # doc1's only chunk is a duplicate of doc0 chunk 0 -> doc1 vanishes
@@ -185,7 +185,7 @@ def test_chunk_dedup_keeps_first_and_restitches(ray_session, tmp_path):
 
 def test_bpe_pairs_counts(ray_session, tmp_path):
     sf = _write_docs(tmp_path, [(0, "ab ab b"), (1, "abc")])
-    from tesseract_wasm_ray.pipelines.queries import q_bpe_pairs
+    from tesseract_wasm_ray.catalog.trainprep import q_bpe_pairs
 
     out = q_bpe_pairs(sf).set_index("pair")["cnt"]
     assert out["ab"] == 3  # two "ab" tokens + one inside "abc"
@@ -196,7 +196,7 @@ def test_bpe_pairs_counts(ray_session, tmp_path):
 def test_quality_zscore_two_stage_matches_numpy(ray_session, tmp_path):
     rows = [(i, "x" * (10 + 7 * i)) for i in range(6)]
     sf = _write_docs(tmp_path, rows)
-    from tesseract_wasm_ray.pipelines.queries import q_quality_zscore
+    from tesseract_wasm_ray.catalog.trainprep import q_quality_zscore
 
     out = q_quality_zscore(sf).to_pandas().set_index("doc_id").sort_index()
     nc = np.array([len(t) for _, t in rows], dtype=np.float64)
@@ -234,7 +234,7 @@ def test_incremental_dedup_removes_planted_recrawl(ray_session, tmp_path):
         [(0, "snapshot doc zero"), (7, "snapshot doc seven"),
          (1, "fresh doc one"), (2, "fresh doc two")],
     )
-    from tesseract_wasm_ray.pipelines.queries import q_incremental_dedup
+    from tesseract_wasm_ray.catalog.dedup import q_incremental_dedup
 
     out = q_incremental_dedup(sf).to_pandas()
     # planted re-crawls (1000000, 1000007) are removed; fresh docs stay
@@ -274,7 +274,7 @@ def test_keep_first_by_multi_key_matches_pandas(ray_session):
 
 
 def test_token_pmi_hand_computed(ray_session, tmp_path):
-    from tesseract_wasm_ray.pipelines.queries import q_token_pmi
+    from tesseract_wasm_ray.catalog.text import q_token_pmi
 
     sf = _write_docs(tmp_path, [(0, "a b"), (1, "a b"), (2, "a c"), (3, "b")])
     out = q_token_pmi(sf, min_co=1).set_index(["t1", "t2"])
@@ -286,7 +286,7 @@ def test_token_pmi_hand_computed(ray_session, tmp_path):
 
 
 def test_skipgram_cooc_hand_computed(ray_session, tmp_path):
-    from tesseract_wasm_ray.pipelines.queries import q_skipgram_cooc
+    from tesseract_wasm_ray.catalog.text import q_skipgram_cooc
 
     sf = _write_docs(tmp_path, [(0, "a b a c"), (1, "c a")])
     out = q_skipgram_cooc(sf, window=2, min_co=1)
@@ -299,7 +299,7 @@ def test_skipgram_cooc_hand_computed(ray_session, tmp_path):
 
 
 def test_skipgram_no_cross_doc_pairs(ray_session, tmp_path):
-    from tesseract_wasm_ray.pipelines.queries import q_skipgram_cooc
+    from tesseract_wasm_ray.catalog.text import q_skipgram_cooc
 
     # 'x' only ends doc0 and 'y' only starts doc1: any (x,y) pair would
     # be a cross-document leak through the flat token stream
@@ -313,7 +313,7 @@ def test_lang_len_quantiles_bit_matches_duckdb(ray_session, tmp_path):
     import duckdb
     import pandas as pd
 
-    from tesseract_wasm_ray.pipelines.queries import q_lang_len_quantiles
+    from tesseract_wasm_ray.catalog.text import q_lang_len_quantiles
 
     rng = np.random.default_rng(3)
     langs = [["en", "fr", "de"][int(x)] for x in rng.integers(0, 3, 200)]
@@ -409,7 +409,7 @@ def test_token_stream_pack_reconstructs_corpus(ray_session):
 
     import pyarrow.parquet as pq
 
-    from tesseract_wasm_ray.pipelines.queries import q_token_stream_pack
+    from tesseract_wasm_ray.catalog.trainprep import q_token_stream_pack
 
     SF = "/root/testdata/sf0.001"
     got = q_token_stream_pack(SF).to_pandas().sort_values("window_id")
@@ -436,7 +436,7 @@ def test_token_stream_pack_two_level_prefix_sum_1m_docs(ray_session, tmp_path):
 
     import pyarrow.parquet as pq
 
-    from tesseract_wasm_ray.pipelines.queries import q_token_stream_pack
+    from tesseract_wasm_ray.catalog.trainprep import q_token_stream_pack
 
     n = 1_000_000
     ids = np.arange(n, dtype=np.int64)
@@ -503,7 +503,7 @@ def test_dsir_select_prefers_target_like_docs(ray_session, tmp_path):
     6 'de' docs over vocabulary B, and 3 'fr' docs that REUSE
     vocabulary A — the A-vocabulary docs (en + fr) should fill the
     top ranks."""
-    from tesseract_wasm_ray.pipelines.queries import q_dsir_select
+    from tesseract_wasm_ray.catalog.trainprep import q_dsir_select
 
     rows = []
     for i in range(6):

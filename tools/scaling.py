@@ -51,8 +51,8 @@ import ray
 import ray.data as rd
 from ray.data import DataContext
 
+from tesseract_wasm_ray.fixtures import FIXTURE_ROOT, corpus_for
 from tesseract_wasm_ray.pipelines.extract import ExtractConfig, run_extract
-from tesseract_wasm_ray.pipelines.queries import FIXTURE_ROOT, corpus_for
 from tesseract_wasm_ray.tuning import apply_data_context_tuning
 
 
@@ -217,6 +217,7 @@ def _soak_corpus(n_docs: int) -> tuple[str, str]:
 
 
 def run_soak() -> dict:
+    from tesseract_wasm_ray.catalog.trainprep import q_token_stream_pack
     from tesseract_wasm_ray.pipelines.dedup import (
         exact_dedup,
         exact_substring_dedup,
@@ -224,7 +225,6 @@ def run_soak() -> dict:
         ngram_jaccard_dedup,
     )
     from tesseract_wasm_ray.pipelines.extract import validate_against_golden
-    from tesseract_wasm_ray.pipelines.queries import q_token_stream_pack
 
     n_docs = int(os.environ.get("TWR_SOAK_DOCS", "500000"))
     num_cpus = len(os.sched_getaffinity(0))
