@@ -37,7 +37,6 @@ import pyarrow as pa
 import pyarrow.parquet as pq
 
 from . import MODEL_VERSION
-from .functions.boilerplate import strip_boilerplate
 from .functions.raster import MARGIN, page_text, render_page
 from .state.glyph_model import CHAR_PITCH, GLYPH_H, LINE_PITCH, WORD_GAP, GlyphModel
 from .schema import DOCUMENTS_SCHEMA, MEDIA_SCHEMA, OCR_RESULT_SCHEMA
